@@ -17,6 +17,24 @@ cargo build --release --offline --workspace
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> serve_chaos test binary x20 (stops at the first failing run)"
+# The chaos pipeline races four workers against one fault plan, so one
+# passing run proves little; a schedule-dependent failure shows up here.
+chaos_bin="$(cargo test --offline -p pi3d-core --test serve_chaos --no-run 2>&1 |
+    sed -n 's/^ *Executable .*(\(.*\))$/\1/p')"
+[ -x "$chaos_bin" ] || { echo "serve_chaos test binary not found" >&2; exit 1; }
+chaos_log="$(mktemp /tmp/pi3d-chaos-test.XXXXXX.log)"
+trap 'rm -f "$chaos_log"' EXIT
+for run in $(seq 20); do
+    if ! "$chaos_bin" -q > "$chaos_log" 2>&1; then
+        cat "$chaos_log"
+        echo "serve_chaos failed on run $run of 20" >&2
+        exit 1
+    fi
+done
+rm -f "$chaos_log"
+echo "serve_chaos OK: 20 runs"
+
 echo "==> CLI smoke run with --metrics-out"
 report="$(mktemp /tmp/pi3d-report.XXXXXX.json)"
 cfg="$(mktemp /tmp/pi3d-design.XXXXXX.cfg)"

@@ -100,7 +100,7 @@ use pi3d_telemetry::fsio::atomic_write;
 use pi3d_telemetry::CancelToken;
 use shard_cmd::ShardMode;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -270,17 +270,6 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     #[cfg(feature = "telemetry")]
     let _cmd_slice = pi3d_telemetry::trace::span_with("cli", || format!("cmd:{command}"));
 
-    // Solver-heavy commands prime the parallel-SpMV cutover from the
-    // persisted calibration (probing and storing it on first use);
-    // `--recalibrate` forces a fresh probe. Client-side and read-only
-    // commands skip it.
-    if !matches!(
-        command,
-        "help" | "--help" | "trace" | "call" | "merge-journals"
-    ) {
-        init_spmv_calibration(args)?;
-    }
-
     match command {
         "analyze" => analyze(args),
         "currents" => currents(args),
@@ -304,49 +293,6 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             Err(format!("unknown command {other:?}").into())
         }
     }
-}
-
-/// Default home of the persisted SpMV calibration: the report dir
-/// (`PI3D_REPORT_DIR`, falling back to a `pi3d` dir under the temp dir).
-fn default_calibration_path() -> PathBuf {
-    let dir = std::env::var_os("PI3D_REPORT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| std::env::temp_dir().join("pi3d"));
-    dir.join("spmv_calibration.json")
-}
-
-/// Seeds the process-wide parallel-SpMV cutover from the calibration
-/// cache file so repeat invocations and daemon restarts skip the startup
-/// probe. Without a cache file the probe runs once, here, and its result
-/// is stored (best effort). `--recalibrate` forces a fresh probe and
-/// overwrites the file; `--calibration-file PATH` relocates it.
-fn init_spmv_calibration(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let path = match args.flag("calibration-file") {
-        Some(p) => PathBuf::from(p),
-        None => default_calibration_path(),
-    };
-    if args.has("recalibrate") {
-        let v = pi3d_solver::recalibrate_spmv();
-        pi3d_solver::store_spmv_calibration(&path, v)
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!(
-            "recalibrated parallel-SpMV cutover: {v} rows (stored in {})",
-            path.display()
-        );
-    } else if let Some(v) = pi3d_solver::load_spmv_calibration(&path) {
-        pi3d_solver::prime_spmv_calibration(v);
-    } else {
-        // Calibration affects only which code path runs, never result
-        // bits, so a failed store costs a re-probe, nothing more.
-        let v = pi3d_solver::calibrated_spmv_min_dim();
-        if let Err(e) = pi3d_solver::store_spmv_calibration(&path, v) {
-            eprintln!(
-                "warning: cannot store calibration in {}: {e}",
-                path.display()
-            );
-        }
-    }
-    Ok(())
 }
 
 /// Builds the durable-execution context shared by the sweep commands from
@@ -399,7 +345,7 @@ fn print_usage() {
          global flags: [--threads N] [--precond jacobi|ic|mg|identity]\n\
                        [--log-level off|error|warn|info|debug|trace]\n\
                        [--metrics-out FILE] [--trace-out FILE] [--trace-capacity N]\n\
-                       [--progress [json]] [--recalibrate] [--calibration-file FILE]\n\
+                       [--progress [json]]\n\
          durable runs (faults/optimize/simulate): [--journal FILE] [--resume FILE]\n\
                        [--deadline SECS] [--cancel-file FILE]\n\
          sharded runs (faults/optimize): --shards N --journal FILE\n\

@@ -35,7 +35,7 @@ use pi3d_mesh::MeshOptions;
 use pi3d_telemetry::json::{
     frame_too_large, read_json_line, write_json_line, FrameReader, DEFAULT_MAX_FRAME_BYTES,
 };
-use pi3d_telemetry::rng::SplitMix64;
+use pi3d_telemetry::rng::{jittered_backoff, SplitMix64};
 use pi3d_telemetry::{CancelToken, Json};
 use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -448,13 +448,9 @@ fn connect_once(
     }
 }
 
-/// Seeded jittered exponential backoff: `base * 2^attempt`, scaled by a
-/// uniform factor in [0.5, 1.0) so a fleet of retrying clients spreads
-/// out instead of thundering back in lockstep.
-fn backoff_delay(base: Duration, attempt: u32, rng: &mut SplitMix64) -> Duration {
-    let exp = base.as_secs_f64() * f64::from(1u32 << attempt.min(10));
-    Duration::from_secs_f64(exp * (0.5 + 0.5 * rng.next_f64()))
-}
+/// The client's retry backoff stops doubling after this many attempts
+/// (at 1024× `--retry-base-ms`).
+const RETRY_MAX_DOUBLINGS: u32 = 10;
 
 /// The daemon's own retry hint on a load-shed response: an `admission`
 /// stage outcome carrying `result.retry_after_ms`. Such a response is
@@ -562,7 +558,12 @@ pub fn call_command(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                         // own hint (never sooner than our backoff would).
                         if let Some(hint) = shed_retry_hint(&response) {
                             if attempt < retries {
-                                let wait = hint.max(backoff_delay(retry_base, attempt, &mut rng));
+                                let wait = hint.max(jittered_backoff(
+                                    retry_base,
+                                    attempt,
+                                    RETRY_MAX_DOUBLINGS,
+                                    &mut rng,
+                                ));
                                 std::thread::sleep(wait);
                                 attempt += 1;
                                 continue;
@@ -582,7 +583,12 @@ pub fn call_command(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                     format!("request failed after {} attempt(s): {error}", attempt + 1).into(),
                 );
             }
-            std::thread::sleep(backoff_delay(retry_base, attempt, &mut rng));
+            std::thread::sleep(jittered_backoff(
+                retry_base,
+                attempt,
+                RETRY_MAX_DOUBLINGS,
+                &mut rng,
+            ));
             attempt += 1;
         };
         println!("{}", response.to_compact_string());

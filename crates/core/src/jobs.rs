@@ -120,7 +120,7 @@ pub fn unit_key(config_hash: u64, unit: usize) -> u64 {
     fnv1a64(format!("{config_hash:016x}:{unit}").as_bytes())
 }
 
-fn journal_error(path: &Path, reason: impl Into<String>) -> CoreError {
+pub(crate) fn journal_error(path: &Path, reason: impl Into<String>) -> CoreError {
     CoreError::Journal {
         path: path.display().to_string(),
         reason: reason.into(),

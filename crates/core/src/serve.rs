@@ -57,6 +57,7 @@ use pi3d_memsim::{
 use pi3d_mesh::{IrAnalysis, MeshOptions};
 use pi3d_solver::SolverError;
 use pi3d_telemetry::cancel::{latched_signal, SIGTERM};
+use pi3d_telemetry::par::panic_message;
 use pi3d_telemetry::rng::SplitMix64;
 use pi3d_telemetry::{CancelToken, Json};
 use std::collections::{HashMap, VecDeque};
@@ -473,18 +474,6 @@ impl<T: Send + 'static> WorkerPool<T> {
     }
 }
 
-/// Renders a `catch_unwind` payload: panics carry `&str` or `String`
-/// almost always; anything else gets a placeholder.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Deterministic chaos injection.
 // ---------------------------------------------------------------------------
@@ -494,9 +483,11 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 /// The plan is probed at fixed injection points inside the engine — the
 /// top of [`ServeState::handle_request`] (worker panic) and the cache
 /// build closure (forced build failure) — and decides deterministically
-/// from its SplitMix64 stream whether to inject. Production servers run
-/// with no plan ([`ServeOptions::fault_plan`] is `None`); tests attach
-/// one and replay identical fault schedules from identical seeds.
+/// from that point's own SplitMix64 stream whether to inject, so one
+/// point's schedule never depends on how worker threads interleave rolls
+/// at the other. Production servers run with no plan
+/// ([`ServeOptions::fault_plan`] is `None`); tests attach one and replay
+/// identical fault schedules from identical seeds.
 ///
 /// # Examples
 ///
@@ -518,20 +509,33 @@ pub struct FaultPlan {
 
 #[derive(Debug)]
 struct FaultPlanState {
-    rng: SplitMix64,
-    panic_prob: f64,
-    build_fail_prob: f64,
+    panics: FaultStream,
+    builds: FaultStream,
     budget: Option<u64>,
 }
+
+/// One injection point's seeded stream and firing probability.
+#[derive(Debug)]
+struct FaultStream {
+    rng: SplitMix64,
+    prob: f64,
+}
+
+/// Separates the panic stream from the build stream, which is seeded
+/// with the plan's seed itself.
+const PANIC_STREAM_SALT: u64 = 0xa076_1d64_78bd_642f;
 
 impl FaultPlan {
     /// Creates an inert plan (no faults until probabilities are set).
     pub fn new(seed: u64) -> FaultPlan {
+        let stream = |seed| FaultStream {
+            rng: SplitMix64::new(seed),
+            prob: 0.0,
+        };
         FaultPlan {
             state: Mutex::new(FaultPlanState {
-                rng: SplitMix64::new(seed),
-                panic_prob: 0.0,
-                build_fail_prob: 0.0,
+                panics: stream(seed ^ PANIC_STREAM_SALT),
+                builds: stream(seed),
                 budget: None,
             }),
             injected_panics: AtomicU64::new(0),
@@ -541,13 +545,13 @@ impl FaultPlan {
 
     /// Injects a worker panic with probability `prob` per request.
     pub fn with_worker_panics(self, prob: f64) -> FaultPlan {
-        self.lock().panic_prob = prob.clamp(0.0, 1.0);
+        self.lock().panics.prob = prob.clamp(0.0, 1.0);
         self
     }
 
     /// Fails cache builds with probability `prob` per build.
     pub fn with_build_failures(self, prob: f64) -> FaultPlan {
-        self.lock().build_fail_prob = prob.clamp(0.0, 1.0);
+        self.lock().builds.prob = prob.clamp(0.0, 1.0);
         self
     }
 
@@ -566,13 +570,13 @@ impl FaultPlan {
         }
     }
 
-    fn roll(&self, pick: impl Fn(&FaultPlanState) -> f64) -> bool {
+    fn roll(&self, point: fn(&mut FaultPlanState) -> &mut FaultStream) -> bool {
         let mut state = self.lock();
         if state.budget == Some(0) {
             return false;
         }
-        let prob = pick(&state);
-        if prob <= 0.0 || !state.rng.chance(prob) {
+        let stream = point(&mut state);
+        if stream.prob <= 0.0 || !stream.rng.chance(stream.prob) {
             return false;
         }
         if let Some(budget) = state.budget.as_mut() {
@@ -583,7 +587,7 @@ impl FaultPlan {
 
     /// Probed once per request by [`ServeState::handle_request`].
     pub fn should_panic(&self) -> bool {
-        let inject = self.roll(|s| s.panic_prob);
+        let inject = self.roll(|s| &mut s.panics);
         if inject {
             self.injected_panics.fetch_add(1, Ordering::Relaxed);
         }
@@ -592,7 +596,7 @@ impl FaultPlan {
 
     /// Probed once per cache build by the design build closure.
     pub fn should_fail_build(&self) -> bool {
-        let inject = self.roll(|s| s.build_fail_prob);
+        let inject = self.roll(|s| &mut s.builds);
         if inject {
             self.injected_build_failures.fetch_add(1, Ordering::Relaxed);
         }
@@ -1751,19 +1755,32 @@ mod tests {
         ])
     }
 
-    /// Runs `f` with the process panic hook muted (and serialized, since
-    /// the hook is process-global) so expected panics don't spam stderr.
+    /// Runs `f` with its injected panics kept off stderr; any other panic,
+    /// a failing assertion included, still reaches the previous hook, and
+    /// that hook is back in place however `f` ends. Serialized, since the
+    /// hook is process-global.
     fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
         static HOOK_LOCK: Mutex<()> = Mutex::new(());
         let _guard = match HOOK_LOCK.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = f();
-        std::panic::set_hook(hook);
-        result
+        let previous = Arc::new(std::panic::take_hook());
+        let forward = Arc::clone(&previous);
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info.payload_as_str().is_some_and(|message| {
+                message == "injected worker panic (chaos plan)"
+                    || message.starts_with("poison item ")
+            });
+            if !injected {
+                forward(info);
+            }
+        }));
+        // A panicking thread cannot swap the hook, so a panic in `f` is
+        // caught and resumed only after the previous hook is back.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        std::panic::set_hook(Box::new(move |info| previous(info)));
+        outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 
     #[test]
@@ -2023,6 +2040,26 @@ mod tests {
         assert_ne!(schedule(42), schedule(43), "different seed diverges");
         let fired = schedule(42).iter().filter(|&&b| b).count();
         assert!((10..=54).contains(&fired), "p=0.5 should fire roughly half");
+    }
+
+    #[test]
+    fn fault_points_draw_from_independent_streams() {
+        // Worker threads interleave the two kinds of roll in any order;
+        // the build schedule must not depend on the panic rolls between.
+        let builds = |panic_rolls_between: usize| -> Vec<bool> {
+            let plan = FaultPlan::new(42)
+                .with_worker_panics(0.5)
+                .with_build_failures(0.5);
+            (0..32)
+                .map(|_| {
+                    for _ in 0..panic_rolls_between {
+                        plan.should_panic();
+                    }
+                    plan.should_fail_build()
+                })
+                .collect()
+        };
+        assert_eq!(builds(0), builds(3));
     }
 
     #[test]

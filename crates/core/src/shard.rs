@@ -32,10 +32,10 @@
 //! byte-identically at any shard count.
 
 use crate::error::CoreError;
-use crate::jobs::{read_attempted_units, unit_key, JOURNAL_SCHEMA};
+use crate::jobs::{journal_error, read_attempted_units, unit_key, JOURNAL_SCHEMA};
 use crate::serve::{EXIT_CANCELLED, EXIT_DEADLINE, EXIT_TERMINATED};
 use pi3d_telemetry::cancel::{self, SIGTERM};
-use pi3d_telemetry::rng::SplitMix64;
+use pi3d_telemetry::rng::{jittered_backoff, SplitMix64};
 use pi3d_telemetry::{CancelToken, Json};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -46,13 +46,6 @@ use std::time::{Duration, Instant, SystemTime};
 
 fn shard_error(reason: impl Into<String>) -> CoreError {
     CoreError::Shard {
-        reason: reason.into(),
-    }
-}
-
-fn journal_error(path: &Path, reason: impl Into<String>) -> CoreError {
-    CoreError::Journal {
-        path: path.display().to_string(),
         reason: reason.into(),
     }
 }
@@ -683,13 +676,9 @@ fn describe_exit(status: std::process::ExitStatus) -> String {
     "unknown exit".to_owned()
 }
 
-/// Seeded-jittered exponential backoff before respawn attempt
-/// `attempt` (0-based): `base · 2^min(attempt,6) · (0.5 + 0.5·r)`.
-fn respawn_backoff(base: Duration, attempt: u32, rng: &mut SplitMix64) -> Duration {
-    let factor = 1u32 << attempt.min(6);
-    let jitter = 0.5 + 0.5 * rng.next_f64();
-    base.saturating_mul(factor).mul_f64(jitter)
-}
+/// The respawn backoff stops doubling after this many deaths (at 64×
+/// [`ShardOptions::backoff_base`]).
+const RESPAWN_MAX_DOUBLINGS: u32 = 6;
 
 struct ShardSlot {
     journal: PathBuf,
@@ -964,7 +953,12 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
                     slots[index].respawns - 1
                 )));
             }
-            let backoff = respawn_backoff(opts.backoff_base, slots[index].respawns - 1, &mut rng);
+            let backoff = jittered_backoff(
+                opts.backoff_base,
+                slots[index].respawns - 1,
+                RESPAWN_MAX_DOUBLINGS,
+                &mut rng,
+            );
             slots[index].spawn_after = Instant::now() + backoff;
             eprintln!(
                 "pi3d: shard {index} worker died ({exit}); respawn {}/{} in {:.1}s",
@@ -1227,20 +1221,6 @@ mod tests {
         let err = load_quarantine(&path).unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn respawn_backoff_is_seeded_and_bounded() {
-        let base = Duration::from_millis(100);
-        let mut a = SplitMix64::new(7);
-        let mut b = SplitMix64::new(7);
-        for attempt in 0..10 {
-            let da = respawn_backoff(base, attempt, &mut a);
-            let db = respawn_backoff(base, attempt, &mut b);
-            assert_eq!(da, db, "same seed, same jitter");
-            let cap = base * (1 << attempt.min(6));
-            assert!(da >= cap / 2 && da <= cap, "attempt {attempt}: {da:?}");
-        }
     }
 
     #[cfg(unix)]

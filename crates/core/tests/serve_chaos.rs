@@ -84,20 +84,31 @@ fn assert_well_formed(response: &Json) {
     assert_eq!((exit_code == 0.0), (status == "ok"));
 }
 
-/// Silences the process panic hook while `f` runs so intentionally
-/// injected panics do not spam test output. Serialized: the hook is
-/// process-global.
+/// Runs `f` with its injected panics kept off stderr; any other panic,
+/// a failing assertion included, still reaches the previous hook, and
+/// that hook is back in place however `f` ends. Serialized, since the
+/// hook is process-global.
 fn with_quiet_panics<R>(f: impl FnOnce() -> R) -> R {
     static HOOK_LOCK: Mutex<()> = Mutex::new(());
     let _guard = match HOOK_LOCK.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
     };
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = f();
-    std::panic::set_hook(hook);
-    result
+    let previous = Arc::new(std::panic::take_hook());
+    let forward = Arc::clone(&previous);
+    std::panic::set_hook(Box::new(move |info| {
+        let injected = info.payload_as_str().is_some_and(|message| {
+            message == "injected worker panic (chaos plan)" || message.starts_with("poison item ")
+        });
+        if !injected {
+            forward(info);
+        }
+    }));
+    // A panicking thread cannot swap the hook, so a panic in `f` is
+    // caught and resumed only after the previous hook is back.
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    std::panic::set_hook(Box::new(move |info| previous(info)));
+    outcome.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 // ---------------------------------------------------------------------------

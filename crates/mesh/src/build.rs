@@ -138,10 +138,10 @@ pub struct MeshOptions {
     /// configurable power-TSV placement. They carry the I/O supply current
     /// drawn by the pad drivers. Set to 0 for ablation studies.
     pub pad_row_tsvs: usize,
-    /// Worker threads for batch solves ([`StackMesh::solve_batch`]) and
-    /// the chunked-parallel SpMV on large meshes. `1` (the default) keeps
-    /// every solve on the calling thread; results are bit-identical for
-    /// every value (see [`pi3d_solver::PreparedSystem`]).
+    /// How many right-hand sides a batch solve
+    /// ([`StackMesh::solve_batch`]) runs at once. A single solve always
+    /// runs on the calling thread; results are bit-identical for every
+    /// value (see [`pi3d_solver::PreparedSystem`]).
     pub threads: usize,
     /// Seeded PDN defects to inject during assembly (`None` = pristine
     /// mesh). The draw order is fixed by the single-threaded assembly

@@ -111,21 +111,10 @@ fn real_meshes_extract_stencils_that_apply_bitwise() {
             assert_eq!(
                 want[i].to_bits(),
                 got[i].to_bits(),
-                "case {case}: sequential apply differs at row {i}: {} vs {}",
+                "case {case}: apply differs at row {i}: {} vs {}",
                 want[i],
                 got[i]
             );
-        }
-        // The chunked-parallel path must agree bitwise for any split.
-        for threads in [2usize, 5] {
-            stencil.apply_into_threaded(&x, &mut got, threads, 1);
-            for i in 0..want.len() {
-                assert_eq!(
-                    want[i].to_bits(),
-                    got[i].to_bits(),
-                    "case {case}: {threads}-thread apply differs at row {i}"
-                );
-            }
         }
     }
     assert!(faulted_seen >= 4, "too few faulted meshes survived");

@@ -176,15 +176,12 @@ impl CgSolver {
             let _precond_span = pi3d_telemetry::span::span("precond_setup");
             AppliedPreconditioner::build(preconditioner, a)?
         };
-        self.solve_prepared(a, b, guess, &m, 1, crate::PARALLEL_SPMV_MIN_DIM)
+        self.solve_prepared(a, b, guess, &m)
     }
 
-    /// Solves `A·x = b` with an already-built preconditioner, applying the
-    /// system through any [`Operator`] — general CSR storage or the
-    /// matrix-free stencil form — with up to `threads` worker threads for
-    /// the SpMV when the system has at least `min_parallel_dim` rows
-    /// (both operator implementations are bit-identical across thread
-    /// counts, so the cutover only affects speed).
+    /// Solves `A·x = b` on the calling thread with an already-built
+    /// preconditioner, applying the system through any [`Operator`] —
+    /// general CSR storage or the matrix-free stencil form.
     ///
     /// This is the factor-once/solve-many entry point shared by
     /// [`solve_with_guess`](Self::solve_with_guess) (which builds `m`
@@ -203,8 +200,6 @@ impl CgSolver {
         b: &[f64],
         guess: Option<&[f64]>,
         m: &AppliedPreconditioner,
-        threads: usize,
-        min_parallel_dim: usize,
     ) -> Result<CgSolution, SolverError> {
         let n = a.dim();
         if b.len() != n {
@@ -246,7 +241,7 @@ impl CgSolver {
         let mut x = guess.map(<[f64]>::to_vec).unwrap_or_else(|| vec![0.0; n]);
         // r = b - A·x
         let mut r = vec![0.0; n];
-        a.apply_into_threaded(&x, &mut r, threads, min_parallel_dim);
+        a.apply_into(&x, &mut r);
         for i in 0..n {
             r[i] = b[i] - r[i];
         }
@@ -317,7 +312,7 @@ impl CgSolver {
                     residual_trace,
                 ));
             }
-            a.apply_into_threaded(&p, &mut ap, threads, min_parallel_dim);
+            a.apply_into(&p, &mut ap);
             let pap = vecops::dot(&p, &ap);
             if pap <= 0.0 || !pap.is_finite() {
                 return Err(SolverError::NotPositiveDefinite {

@@ -275,72 +275,7 @@ impl CsrMatrix {
             SPMV.get_or_init(|| pi3d_telemetry::metrics::counter("solver.csr.spmv"))
                 .incr(1);
         }
-        self.mul_rows_into(x, y, 0);
-    }
-
-    /// As [`mul_vec_into`](Self::mul_vec_into), partitioning the rows over
-    /// up to `threads` scoped worker threads when the matrix is large
-    /// enough to amortize the spawn cost (see
-    /// [`PARALLEL_SPMV_MIN_DIM`](crate::PARALLEL_SPMV_MIN_DIM); callers
-    /// that measured their own cutover use
-    /// [`mul_vec_into_threaded_with`](Self::mul_vec_into_threaded_with)).
-    ///
-    /// Each row's dot product is computed with the same summation order as
-    /// the sequential path, and rows are partitioned into contiguous
-    /// ranges, so the result is bit-identical for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` have a length other than `dim()`.
-    pub fn mul_vec_into_threaded(&self, x: &[f64], y: &mut [f64], threads: usize) {
-        self.mul_vec_into_threaded_with(x, y, threads, crate::PARALLEL_SPMV_MIN_DIM);
-    }
-
-    /// As [`mul_vec_into_threaded`](Self::mul_vec_into_threaded) with an
-    /// explicit sequential→parallel cutover: the chunked path is taken
-    /// only when `dim() >= min_parallel_dim` (and `threads > 1`). The
-    /// cutover affects wall-clock time only, never the result bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` have a length other than `dim()`.
-    pub fn mul_vec_into_threaded_with(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        threads: usize,
-        min_parallel_dim: usize,
-    ) {
-        let threads = threads.max(1).min(self.dim.max(1));
-        if threads == 1 || self.dim < min_parallel_dim {
-            self.mul_vec_into(x, y);
-            return;
-        }
-        assert_eq!(x.len(), self.dim);
-        assert_eq!(y.len(), self.dim);
-        #[cfg(feature = "telemetry")]
-        {
-            static SPMV_PAR: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
-                std::sync::OnceLock::new();
-            SPMV_PAR
-                .get_or_init(|| pi3d_telemetry::metrics::counter("solver.csr.spmv_parallel"))
-                .incr(1);
-        }
-        let rows_per_chunk = self.dim.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, y_chunk) in y.chunks_mut(rows_per_chunk).enumerate() {
-                let start = chunk_idx * rows_per_chunk;
-                scope.spawn(move || self.mul_rows_into(x, y_chunk, start));
-            }
-        });
-    }
-
-    /// Multiplies the row range `[start, start + y.len())` of `A` by `x`
-    /// into `y` (shared kernel of the sequential and chunked-parallel
-    /// SpMV paths).
-    fn mul_rows_into(&self, x: &[f64], y: &mut [f64], start: usize) {
-        for (i, out) in y.iter_mut().enumerate() {
-            let r = start + i;
+        for (r, out) in y.iter_mut().enumerate() {
             let mut acc = 0.0;
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
                 acc += self.values[k] * x[self.col_idx[k] as usize];
@@ -518,34 +453,6 @@ mod tests {
         // no (1,0) entry
         let m = b.into_csr().unwrap();
         assert!(!m.is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn threaded_mul_vec_matches_sequential_bitwise() {
-        // Above the parallel threshold: a long chain exercises the real
-        // row-partitioned path; per-row sums are order-identical, so the
-        // results must match bit for bit.
-        let n = crate::PARALLEL_SPMV_MIN_DIM + 37;
-        let m = laplacian_path(n);
-        let x: Vec<f64> = (0..n).map(|i| ((i % 13) as f64 - 6.0) * 1e-3).collect();
-        let mut seq = vec![0.0; n];
-        m.mul_vec_into(&x, &mut seq);
-        for threads in [1, 2, 3, 8] {
-            let mut par = vec![0.0; n];
-            m.mul_vec_into_threaded(&x, &mut par, threads);
-            assert_eq!(par, seq, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn threaded_mul_vec_small_matrix_takes_sequential_path() {
-        let m = laplacian_path(5);
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut seq = vec![0.0; 5];
-        m.mul_vec_into(&x, &mut seq);
-        let mut par = vec![0.0; 5];
-        m.mul_vec_into_threaded(&x, &mut par, 8);
-        assert_eq!(par, seq);
     }
 
     #[test]

@@ -54,7 +54,6 @@ mod csr;
 mod dense;
 mod error;
 mod multigrid;
-mod parallel;
 mod precond;
 mod prepared;
 mod stencil;
@@ -66,17 +65,6 @@ pub use csr::{CooBuilder, CsrMatrix};
 pub use dense::{CholeskyFactor, DenseMatrix};
 pub use error::SolverError;
 pub use multigrid::Multigrid;
-pub use parallel::parallel_map;
 pub use precond::{AppliedPreconditioner, IncompleteCholesky, JacobiScaling, Preconditioner};
-pub use prepared::{
-    calibrated_spmv_min_dim, load_spmv_calibration, prime_spmv_calibration, recalibrate_spmv,
-    store_spmv_calibration, PreparedSystem, SPMV_CALIBRATION_SCHEMA,
-};
+pub use prepared::PreparedSystem;
 pub use stencil::{Operator, StencilGrid, StencilOperator};
-
-/// Minimum matrix dimension for the chunked-parallel SpMV path of
-/// [`CsrMatrix::mul_vec_into_threaded`]. Below this, per-call thread-spawn
-/// overhead (tens of microseconds per scoped worker) exceeds the O(nnz)
-/// multiply itself — a default-resolution stack mesh is ~10k nodes with
-/// ~7 entries per row — so small systems always take the sequential path.
-pub const PARALLEL_SPMV_MIN_DIM: usize = 16_384;

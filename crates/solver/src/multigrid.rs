@@ -578,9 +578,7 @@ mod tests {
         // answer almost immediately.
         let solver = CgSolver::new();
         let m = AppliedPreconditioner::Multigrid(mg);
-        let sol = solver
-            .solve_prepared(&a, &hotspot(25), None, &m, 1, usize::MAX)
-            .unwrap();
+        let sol = solver.solve_prepared(&a, &hotspot(25), None, &m).unwrap();
         assert!(sol.iterations <= 2, "iterations {}", sol.iterations);
     }
 
@@ -591,15 +589,11 @@ mod tests {
         let solver = CgSolver::new().with_tolerance(1e-10);
 
         let jacobi = AppliedPreconditioner::build(Preconditioner::Jacobi, &a).unwrap();
-        let base = solver
-            .solve_prepared(&a, &b, None, &jacobi, 1, usize::MAX)
-            .unwrap();
+        let base = solver.solve_prepared(&a, &b, None, &jacobi).unwrap();
 
         let mg = Multigrid::new(&a, &grids, None).unwrap();
         let m = AppliedPreconditioner::Multigrid(mg);
-        let fast = solver
-            .solve_prepared(&a, &b, None, &m, 1, usize::MAX)
-            .unwrap();
+        let fast = solver.solve_prepared(&a, &b, None, &m).unwrap();
 
         assert!(
             fast.iterations < base.iterations / 2,
@@ -629,19 +623,9 @@ mod tests {
             let b = hotspot(a.dim());
             let mg = Multigrid::new(&a, &grids, None).unwrap();
             let m = AppliedPreconditioner::Multigrid(mg);
-            mg_iters.push(
-                solver
-                    .solve_prepared(&a, &b, None, &m, 1, usize::MAX)
-                    .unwrap()
-                    .iterations,
-            );
+            mg_iters.push(solver.solve_prepared(&a, &b, None, &m).unwrap().iterations);
             let j = AppliedPreconditioner::build(Preconditioner::Jacobi, &a).unwrap();
-            jacobi_iters.push(
-                solver
-                    .solve_prepared(&a, &b, None, &j, 1, usize::MAX)
-                    .unwrap()
-                    .iterations,
-            );
+            jacobi_iters.push(solver.solve_prepared(&a, &b, None, &j).unwrap().iterations);
         }
         // Jacobi iteration counts grow with mesh width; MG's stay ~flat
         // (allow a little drift, but nothing like the Jacobi slope).

@@ -3,12 +3,12 @@
 //! design-space characterization) pay the factorization cost once and then
 //! fan independent right-hand sides across a scoped worker pool.
 
-use crate::parallel::parallel_map;
 use crate::precond::AppliedPreconditioner;
 use crate::stencil::{Operator, StencilGrid, StencilOperator};
 use crate::{vecops, CgSolution, CgSolver, CsrMatrix, DenseMatrix, Preconditioner, SolverError};
+use pi3d_telemetry::par::parallel_map;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// An immutable, `Sync` solve handle: a CSR matrix, its preconditioner
 /// (built exactly once, at construction), and the CG configuration.
@@ -58,7 +58,6 @@ pub struct PreparedSystem {
     solver: CgSolver,
     threads: usize,
     dense_fallback_limit: usize,
-    spmv_min_dim: usize,
     solves: AtomicU64,
 }
 
@@ -155,13 +154,13 @@ impl PreparedSystem {
             solver,
             threads: 1,
             dense_fallback_limit: 0,
-            spmv_min_dim: calibrated_spmv_min_dim(),
             solves: AtomicU64::new(0),
         })
     }
 
-    /// Sets the worker-thread budget used by [`solve_batch`](Self::solve_batch)
-    /// and by the chunked-parallel SpMV inside single solves. `0` is
+    /// Sets how many right-hand sides [`solve_batch`](Self::solve_batch)
+    /// and [`solve_each`](Self::solve_each) solve at once. A single
+    /// [`solve`](Self::solve) always runs on the calling thread. `0` is
     /// treated as `1`.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -185,23 +184,6 @@ impl PreparedSystem {
     /// Configured dense-fallback size limit (`0` = disabled).
     pub fn dense_fallback_limit(&self) -> usize {
         self.dense_fallback_limit
-    }
-
-    /// Overrides the sequential→parallel SpMV cutover: single solves use
-    /// the chunked-parallel apply only when the system has at least this
-    /// many rows. The default comes from [`calibrated_spmv_min_dim`], a
-    /// per-process measurement of thread fan-out cost against per-row
-    /// multiply cost. The cutover affects wall-clock time only — both
-    /// paths are bit-identical.
-    #[must_use]
-    pub fn with_spmv_min_dim(mut self, min_dim: usize) -> Self {
-        self.spmv_min_dim = min_dim.max(1);
-        self
-    }
-
-    /// The sequential→parallel SpMV cutover in effect.
-    pub fn spmv_min_dim(&self) -> usize {
-        self.spmv_min_dim
     }
 
     /// Attaches a [`SolveBudget`](crate::SolveBudget) to the wrapped
@@ -257,32 +239,23 @@ impl PreparedSystem {
         self.solves.load(Ordering::Relaxed)
     }
 
-    /// Solves `A·x = rhs` reusing the preconditioner built at
-    /// construction.
+    /// Solves `A·x = rhs` on the calling thread, reusing the
+    /// preconditioner built at construction.
     ///
     /// # Errors
     ///
     /// As for [`CgSolver::solve_with_guess`].
     pub fn solve(&self, rhs: &[f64], guess: Option<&[f64]>) -> Result<CgSolution, SolverError> {
         self.record_solve(1);
-        self.solve_one(rhs, guess, self.threads)
+        self.solve_one(rhs, guess)
     }
 
     /// One CG solve with the optional dense fallback on non-convergence.
-    fn solve_one(
-        &self,
-        rhs: &[f64],
-        guess: Option<&[f64]>,
-        threads: usize,
-    ) -> Result<CgSolution, SolverError> {
-        match self.solver.solve_prepared(
-            self.operator(),
-            rhs,
-            guess,
-            &self.applied,
-            threads,
-            self.spmv_min_dim,
-        ) {
+    fn solve_one(&self, rhs: &[f64], guess: Option<&[f64]>) -> Result<CgSolution, SolverError> {
+        match self
+            .solver
+            .solve_prepared(self.operator(), rhs, guess, &self.applied)
+        {
             Err(SolverError::NonConverged { partial, .. })
                 if self.matrix.dim() <= self.dense_fallback_limit =>
             {
@@ -300,7 +273,7 @@ impl PreparedSystem {
         let _span = pi3d_telemetry::span::span("dense_fallback");
         let x = DenseMatrix::from_csr(&self.matrix).cholesky()?.solve(rhs)?;
         let mut residual = vec![0.0; x.len()];
-        self.matrix.mul_vec_into_threaded(&x, &mut residual, 1);
+        self.matrix.mul_vec_into(&x, &mut residual);
         for (r, b) in residual.iter_mut().zip(rhs) {
             *r = b - *r;
         }
@@ -344,7 +317,9 @@ impl PreparedSystem {
     /// As [`solve_batch`](Self::solve_batch), but returns one `Result` per
     /// right-hand side instead of collapsing to the first error: a
     /// non-converging or malformed member never poisons its siblings.
-    /// Results are in input order and bit-identical for every thread count.
+    /// Each member is one cold solve on one thread, and up to
+    /// [`threads`](Self::threads) members run at once. Results are in
+    /// input order and bit-identical for every thread count.
     pub fn solve_each(&self, rhs_batch: &[Vec<f64>]) -> Vec<Result<CgSolution, SolverError>> {
         #[cfg(feature = "telemetry")]
         {
@@ -354,9 +329,6 @@ impl PreparedSystem {
                 .record(rhs_batch.len() as u64);
         }
         self.record_solve(rhs_batch.len() as u64);
-        // SpMV-level threading is disabled inside batch members: the pool is
-        // already saturated at the RHS level, and nested scoped pools would
-        // oversubscribe.
         parallel_map(rhs_batch, self.threads, |index, rhs| {
             // One trace slice per right-hand side, so the batch fan-out
             // renders as per-worker timelines in the flight recorder.
@@ -364,7 +336,7 @@ impl PreparedSystem {
             let _rhs_slice = pi3d_telemetry::trace::span_with("solver", || format!("rhs[{index}]"));
             #[cfg(not(feature = "telemetry"))]
             let _ = index;
-            self.solve_one(rhs, None, 1)
+            self.solve_one(rhs, None)
         })
     }
 
@@ -394,144 +366,6 @@ impl PreparedSystem {
         #[cfg(not(feature = "telemetry"))]
         let _ = before;
     }
-}
-
-/// Measured default for the sequential→parallel SpMV cutover used by
-/// [`PreparedSystem`] (overridable per handle with
-/// [`PreparedSystem::with_spmv_min_dim`]).
-///
-/// The chunked-parallel apply pays a scoped thread fan-out per call;
-/// whether that pays off depends on how the host's spawn latency compares
-/// to its per-row multiply throughput, which varies by an order of
-/// magnitude across machines. This measures both once per process — a few
-/// multiplies of a small 5-point grid and a few empty two-worker scopes —
-/// and returns the break-even dimension with a 2× safety margin, clamped
-/// to `[2_048, 1_048_576]`. Falls back to
-/// [`PARALLEL_SPMV_MIN_DIM`](crate::PARALLEL_SPMV_MIN_DIM) if the probe
-/// cannot run. The calibration (total ≈ a millisecond) affects only which
-/// code path runs, never result bits, so solves stay deterministic.
-pub fn calibrated_spmv_min_dim() -> usize {
-    *SPMV_CALIBRATION.get_or_init(measure_spmv_min_dim)
-}
-
-/// Process-wide cutover calibration. Module-level (not function-local) so
-/// [`prime_spmv_calibration`] can seed it from a persisted value before
-/// the first solve would otherwise trigger the probe.
-static SPMV_CALIBRATION: OnceLock<usize> = OnceLock::new();
-
-/// Range the cutover is clamped to, probe or no probe: below 2048 rows the
-/// fan-out can never pay for itself; above 2^20 the probe result is noise.
-const SPMV_CALIBRATION_RANGE: (usize, usize) = (2_048, 1 << 20);
-
-/// Schema tag of the persisted calibration file.
-pub const SPMV_CALIBRATION_SCHEMA: &str = "pi3d.spmv_calibration.v1";
-
-/// Seeds the process-wide SpMV cutover with a previously measured value
-/// (clamped to the probe's own `[2048, 2^20]` range), skipping the startup
-/// probe. First writer wins: if the probe (or an earlier prime) already
-/// ran, the existing value stays. Returns the effective cutover either
-/// way. Calibration affects only which code path runs, never result bits.
-pub fn prime_spmv_calibration(min_dim: usize) -> usize {
-    let (lo, hi) = SPMV_CALIBRATION_RANGE;
-    let clamped = min_dim.clamp(lo, hi);
-    *SPMV_CALIBRATION.get_or_init(|| clamped)
-}
-
-/// Runs the startup probe *now*, seeds the process-wide cutover with the
-/// fresh measurement (first writer wins, so call before any solve), and
-/// returns it — the `--recalibrate` path.
-pub fn recalibrate_spmv() -> usize {
-    let measured = measure_spmv_min_dim();
-    prime_spmv_calibration(measured)
-}
-
-/// Loads a persisted cutover calibration written by
-/// [`store_spmv_calibration`]. Returns `None` for a missing file, a
-/// schema mismatch, or an out-of-range value — callers fall back to the
-/// probe, so a stale or corrupt cache file costs a millisecond, never
-/// correctness.
-pub fn load_spmv_calibration(path: &std::path::Path) -> Option<usize> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let doc = pi3d_telemetry::Json::parse(&text).ok()?;
-    if doc.get("schema")?.as_str()? != SPMV_CALIBRATION_SCHEMA {
-        return None;
-    }
-    let v = doc.get("spmv_min_dim")?.as_num()?;
-    let (lo, hi) = SPMV_CALIBRATION_RANGE;
-    if v.fract() != 0.0 || v < lo as f64 || v > hi as f64 {
-        return None;
-    }
-    Some(v as usize)
-}
-
-/// Persists a measured cutover so later invocations (and daemon restarts)
-/// can [`prime_spmv_calibration`] instead of re-probing. Creates the
-/// parent directory and writes atomically (tmp + fsync + rename).
-///
-/// # Errors
-///
-/// Propagates directory-creation and write failures.
-pub fn store_spmv_calibration(path: &std::path::Path, min_dim: usize) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    let doc = pi3d_telemetry::Json::obj([
-        ("schema", pi3d_telemetry::Json::str(SPMV_CALIBRATION_SCHEMA)),
-        ("spmv_min_dim", pi3d_telemetry::Json::num(min_dim as f64)),
-    ]);
-    pi3d_telemetry::fsio::atomic_write(path, doc.to_compact_string().as_bytes())
-}
-
-fn measure_spmv_min_dim() -> usize {
-    use std::time::Instant;
-    // A 64×64 five-point grid: large enough to time, small enough to
-    // build in microseconds.
-    let n = 64usize;
-    let mut b = crate::CooBuilder::with_capacity(n * n, n * n * 5);
-    for iy in 0..n {
-        for ix in 0..n {
-            let node = iy * n + ix;
-            if ix + 1 < n {
-                b.stamp_conductance(node, node + 1, 1.0);
-            }
-            if iy + 1 < n {
-                b.stamp_conductance(node, node + n, 1.0);
-            }
-            b.stamp_to_ground(node, 0.1);
-        }
-    }
-    let Ok(a) = b.into_csr() else {
-        return crate::PARALLEL_SPMV_MIN_DIM;
-    };
-    let x = vec![1.0; a.dim()];
-    let mut y = vec![0.0; a.dim()];
-    a.mul_vec_into(&x, &mut y); // warm caches
-    let reps = 16u32;
-    let started = Instant::now();
-    for _ in 0..reps {
-        a.mul_vec_into(&x, &mut y);
-    }
-    std::hint::black_box(&y);
-    let row_ns = started.elapsed().as_nanos() as f64 / f64::from(reps) / a.dim() as f64;
-
-    let scopes = 8u32;
-    let started = Instant::now();
-    for _ in 0..scopes {
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                scope.spawn(|| std::hint::black_box(0u64));
-            }
-        });
-    }
-    let spawn_ns = started.elapsed().as_nanos() as f64 / f64::from(scopes);
-
-    // At two workers the parallel path saves half the sequential multiply
-    // and pays one fan-out: break even at dim = 2·spawn/row, doubled for
-    // safety (fan-out latency is noisier than multiply throughput).
-    let breakeven = 4.0 * spawn_ns / row_ns.max(0.01);
-    (breakeven as usize).clamp(2_048, 1 << 20)
 }
 
 #[cfg(test)]
@@ -810,64 +644,18 @@ mod tests {
     }
 
     #[test]
-    fn spmv_cutover_override_keeps_solutions_bitwise_identical() {
+    fn single_solve_ignores_the_thread_budget() {
         let a = grid_2d(14, 14, 0.05);
         let b = loads(196, 19);
-        let baseline = PreparedSystem::new(a.clone(), Preconditioner::Jacobi)
-            .unwrap()
-            .solve(&b, None)
-            .unwrap();
-        // Force the parallel SpMV path on a tiny system: slower, but the
-        // chunked apply must still produce the exact same bits.
-        let forced = PreparedSystem::new(a, Preconditioner::Jacobi)
-            .unwrap()
-            .with_threads(4)
-            .with_spmv_min_dim(1);
-        assert_eq!(forced.spmv_min_dim(), 1);
-        let got = forced.solve(&b, None).unwrap();
-        assert_eq!(baseline.x, got.x);
-        assert_eq!(baseline.iterations, got.iterations);
-    }
-
-    #[test]
-    fn calibrated_cutover_is_cached_and_clamped() {
-        let first = calibrated_spmv_min_dim();
-        assert!((2_048..=1 << 20).contains(&first));
-        assert_eq!(calibrated_spmv_min_dim(), first);
-    }
-
-    #[test]
-    fn primed_cutover_is_clamped_and_agrees_with_calibrated() {
-        // First writer wins process-wide, and tests share a process, so
-        // assert the invariants that hold regardless of ordering: the
-        // effective value is in range and every reader sees the same one.
-        let effective = prime_spmv_calibration(1);
-        assert!((2_048..=1 << 20).contains(&effective));
-        assert_eq!(calibrated_spmv_min_dim(), effective);
-        assert_eq!(prime_spmv_calibration(usize::MAX), effective);
-    }
-
-    #[test]
-    fn spmv_calibration_file_round_trips() {
-        let dir =
-            std::env::temp_dir().join(format!("pi3d-calibration-test-{}", std::process::id()));
-        let path = dir.join("nested").join("spmv_calibration.json");
-        store_spmv_calibration(&path, 40_000).unwrap();
-        assert_eq!(load_spmv_calibration(&path), Some(40_000));
-
-        // Corrupt, wrong-schema, and out-of-range files are all "no
-        // calibration" — the caller re-probes instead of erroring.
-        std::fs::write(&path, b"not json").unwrap();
-        assert_eq!(load_spmv_calibration(&path), None);
-        std::fs::write(&path, br#"{"schema":"other.v1","spmv_min_dim":4096}"#).unwrap();
-        assert_eq!(load_spmv_calibration(&path), None);
-        std::fs::write(
-            &path,
-            format!(r#"{{"schema":"{SPMV_CALIBRATION_SCHEMA}","spmv_min_dim":17}}"#),
-        )
-        .unwrap();
-        assert_eq!(load_spmv_calibration(&path), None);
-        assert_eq!(load_spmv_calibration(&dir.join("missing.json")), None);
-        std::fs::remove_dir_all(&dir).unwrap();
+        let solve = |threads| {
+            PreparedSystem::new(a.clone(), Preconditioner::Jacobi)
+                .unwrap()
+                .with_threads(threads)
+                .solve(&b, None)
+                .unwrap()
+        };
+        let (one, eight) = (solve(1), solve(8));
+        assert_eq!(one.x, eight.x);
+        assert_eq!(one.iterations, eight.iterations);
     }
 }

@@ -46,35 +46,19 @@ impl StencilGrid {
 ///
 /// Implemented by [`CsrMatrix`] (general sparse storage) and
 /// [`StencilOperator`] (matrix-free stacked-grid form). Both
-/// implementations promise the same bits for the same input: the
-/// threaded apply partitions rows into contiguous chunks and keeps each
-/// row's ascending-column summation order, so results are independent
-/// of thread count and of which implementation ran.
+/// implementations promise the same bits for the same input: each row
+/// is summed in ascending-column order, so results are independent of
+/// which implementation ran.
 pub trait Operator: std::fmt::Debug + Send + Sync {
     /// Dimension of the (square) operator.
     fn dim(&self) -> usize;
 
-    /// Computes `y = A·x` sequentially.
+    /// Computes `y = A·x`.
     ///
     /// # Panics
     ///
     /// Panics if `x` or `y` have a length other than [`dim`](Self::dim).
     fn apply_into(&self, x: &[f64], y: &mut [f64]);
-
-    /// As [`apply_into`](Self::apply_into), partitioning rows over up to
-    /// `threads` scoped workers when `dim() >= min_parallel_dim` (below
-    /// that, per-call spawn overhead exceeds the multiply itself).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` have a length other than [`dim`](Self::dim).
-    fn apply_into_threaded(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        threads: usize,
-        min_parallel_dim: usize,
-    );
 
     /// Returns the operator's diagonal.
     fn diagonal(&self) -> Vec<f64>;
@@ -87,16 +71,6 @@ impl Operator for CsrMatrix {
 
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         self.mul_vec_into(x, y);
-    }
-
-    fn apply_into_threaded(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        threads: usize,
-        min_parallel_dim: usize,
-    ) {
-        self.mul_vec_into_threaded_with(x, y, threads, min_parallel_dim);
     }
 
     fn diagonal(&self) -> Vec<f64> {
@@ -115,12 +89,6 @@ struct GridStencil {
     x_edge: f64,
     /// Value of every north/south off-diagonal entry in this grid.
     y_edge: f64,
-}
-
-impl GridStencil {
-    fn end(&self) -> usize {
-        self.base + self.nx * self.ny
-    }
 }
 
 /// Matrix-free form of a stacked-grid PDN system: per-grid 5-point
@@ -292,67 +260,6 @@ impl StencilOperator {
             })
             .collect()
     }
-
-    /// Applies the row range `[start, start + y.len())` (shared kernel
-    /// of the sequential and chunked-parallel paths).
-    ///
-    /// Per row, the in-grid stencil columns (`r−nx, r−1, r, r+1, r+nx`,
-    /// already ascending) all lie inside `[base, end)` while extras lie
-    /// strictly outside it, so the CSR row's ascending-column order is
-    /// always "extras below the grid, stencil terms, extras above the
-    /// grid" — reproduced here without any per-term merge.
-    fn apply_rows_into(&self, x: &[f64], y: &mut [f64], start: usize) {
-        let end_all = start + y.len();
-        let mut gi = self.grids.partition_point(|g| g.end() <= start);
-        let mut r = start;
-        while r < end_all {
-            let g = &self.grids[gi];
-            let stop = end_all.min(g.end());
-            // Grid-local coordinates advance incrementally — no per-row
-            // division — and the extras cursor threads through the whole
-            // chunk (each row drains its extras completely, so `e` lands
-            // on the next row's first extra).
-            let off = r - g.base;
-            let mut ix = off % g.nx;
-            let mut iy = off / g.nx;
-            let mut e = self.extras_row_ptr[r];
-            while r < stop {
-                let hi = self.extras_row_ptr[r + 1];
-                let mut acc = 0.0;
-                while e < hi && (self.extras_col[e] as usize) < g.base {
-                    acc += self.extras_val[e] * x[self.extras_col[e] as usize];
-                    e += 1;
-                }
-                if iy > 0 {
-                    acc += g.y_edge * x[r - g.nx];
-                }
-                if ix > 0 {
-                    acc += g.x_edge * x[r - 1];
-                }
-                acc += self.diag[r] * x[r];
-                if ix + 1 < g.nx {
-                    acc += g.x_edge * x[r + 1];
-                }
-                if iy + 1 < g.ny {
-                    acc += g.y_edge * x[r + g.nx];
-                }
-                while e < hi {
-                    acc += self.extras_val[e] * x[self.extras_col[e] as usize];
-                    e += 1;
-                }
-                y[r - start] = acc;
-                r += 1;
-                ix += 1;
-                if ix == g.nx {
-                    ix = 0;
-                    iy += 1;
-                }
-            }
-            if r == g.end() {
-                gi += 1;
-            }
-        }
-    }
 }
 
 impl Operator for StencilOperator {
@@ -370,38 +277,46 @@ impl Operator for StencilOperator {
             SPMV.get_or_init(|| pi3d_telemetry::metrics::counter("solver.stencil.spmv"))
                 .incr(1);
         }
-        self.apply_rows_into(x, y, 0);
-    }
-
-    fn apply_into_threaded(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        threads: usize,
-        min_parallel_dim: usize,
-    ) {
-        let threads = threads.max(1).min(self.dim.max(1));
-        if threads == 1 || self.dim < min_parallel_dim {
-            self.apply_into(x, y);
-            return;
-        }
-        assert_eq!(x.len(), self.dim);
-        assert_eq!(y.len(), self.dim);
-        #[cfg(feature = "telemetry")]
-        {
-            static SPMV_PAR: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
-                std::sync::OnceLock::new();
-            SPMV_PAR
-                .get_or_init(|| pi3d_telemetry::metrics::counter("solver.stencil.spmv_parallel"))
-                .incr(1);
-        }
-        let rows_per_chunk = self.dim.div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (chunk_idx, y_chunk) in y.chunks_mut(rows_per_chunk).enumerate() {
-                let start = chunk_idx * rows_per_chunk;
-                scope.spawn(move || self.apply_rows_into(x, y_chunk, start));
+        // Per row, the in-grid stencil columns (`r−nx, r−1, r, r+1, r+nx`,
+        // already ascending) all lie inside the row's grid while extras
+        // lie strictly outside it, so the CSR row's ascending-column order
+        // is always "extras below the grid, stencil terms, extras above
+        // the grid" — reproduced here without any per-term merge. Each row
+        // drains its extras completely, so the cursor `e` lands on the next
+        // row's first extra; the grids tile `[0, dim)` in order, so `r`
+        // walks every row once.
+        let (mut r, mut e) = (0, 0);
+        for g in &self.grids {
+            for iy in 0..g.ny {
+                for ix in 0..g.nx {
+                    let hi = self.extras_row_ptr[r + 1];
+                    let mut acc = 0.0;
+                    while e < hi && (self.extras_col[e] as usize) < g.base {
+                        acc += self.extras_val[e] * x[self.extras_col[e] as usize];
+                        e += 1;
+                    }
+                    if iy > 0 {
+                        acc += g.y_edge * x[r - g.nx];
+                    }
+                    if ix > 0 {
+                        acc += g.x_edge * x[r - 1];
+                    }
+                    acc += self.diag[r] * x[r];
+                    if ix + 1 < g.nx {
+                        acc += g.x_edge * x[r + 1];
+                    }
+                    if iy + 1 < g.ny {
+                        acc += g.y_edge * x[r + g.nx];
+                    }
+                    while e < hi {
+                        acc += self.extras_val[e] * x[self.extras_col[e] as usize];
+                        e += 1;
+                    }
+                    y[r] = acc;
+                    r += 1;
+                }
             }
-        });
+        }
     }
 
     fn diagonal(&self) -> Vec<f64> {
@@ -502,25 +417,6 @@ mod tests {
                     "row {i} differs (seed {seed})"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn threaded_apply_is_bit_identical_for_every_thread_count() {
-        let s = stack_system(9, 8, 6, 7, 42);
-        let op = StencilOperator::from_csr(&s.matrix, &s.grids).unwrap();
-        let x = random_x(s.matrix.dim(), 7);
-        let mut reference = vec![0.0; s.matrix.dim()];
-        op.apply_into(&x, &mut reference);
-        for threads in [1, 2, 3, 8] {
-            let mut y = vec![0.0; s.matrix.dim()];
-            // min_parallel_dim 1 forces the chunked path.
-            op.apply_into_threaded(&x, &mut y, threads, 1);
-            assert_eq!(
-                reference.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                y.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
         }
     }
 

@@ -5,8 +5,7 @@
 //!
 //! This lives in the telemetry crate — the one crate every other
 //! workspace member already depends on — so `pi3d-core` and `pi3d-memsim`
-//! can fan out work without growing a solver dependency. `pi3d-solver`
-//! re-exports it under its historical path.
+//! can fan out work without growing a solver dependency.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -33,7 +32,9 @@ impl std::fmt::Display for ItemPanic {
 
 impl std::error::Error for ItemPanic {}
 
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+/// Renders a panic payload as text: panics carry `&str` or `String`
+/// almost always; anything else gets a placeholder.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -16,6 +16,8 @@
 //! assert!((0.0..1.0).contains(&p));
 //! ```
 
+use std::time::Duration;
+
 /// SplitMix64 generator state (Steele, Lea & Flood 2014).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SplitMix64 {
@@ -75,6 +77,21 @@ impl SplitMix64 {
     }
 }
 
+/// Seeded jittered exponential backoff before retry `attempt` (0-based):
+/// `base · 2^min(attempt, max_doublings) · (0.5 + 0.5·r)` with `r` drawn
+/// from `rng`, so a fleet of retrying clients (or respawning workers)
+/// spreads out instead of thundering back in lockstep.
+pub fn jittered_backoff(
+    base: Duration,
+    attempt: u32,
+    max_doublings: u32,
+    rng: &mut SplitMix64,
+) -> Duration {
+    let jitter = 0.5 + 0.5 * rng.next_f64();
+    base.saturating_mul(2u32.saturating_pow(attempt.min(max_doublings)))
+        .mul_f64(jitter)
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -130,5 +147,21 @@ mod tests {
         let mut rng = SplitMix64::new(13);
         let hits = (0..10_000).filter(|_| rng.chance(0.8)).count();
         assert!((7_600..8_400).contains(&hits), "hits {hits}");
+    }
+
+    #[test]
+    fn jittered_backoff_is_seeded_and_bounded() {
+        let base = Duration::from_millis(100);
+        for max_doublings in [6, 10] {
+            let mut a = SplitMix64::new(7);
+            let mut b = SplitMix64::new(7);
+            for attempt in 0..14 {
+                let da = jittered_backoff(base, attempt, max_doublings, &mut a);
+                let db = jittered_backoff(base, attempt, max_doublings, &mut b);
+                assert_eq!(da, db, "same seed, same jitter");
+                let cap = base * (1 << attempt.min(max_doublings));
+                assert!(da >= cap / 2 && da <= cap, "attempt {attempt}: {da:?}");
+            }
+        }
     }
 }
