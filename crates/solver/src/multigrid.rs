@@ -33,8 +33,9 @@ use crate::stencil::{Operator, StencilGrid, StencilOperator};
 /// Damping factor for the weighted-Jacobi fallback smoother.
 const OMEGA: f64 = 0.7;
 /// Stop coarsening once a level has at most this many nodes; the level
-/// is then factored densely (at 600 nodes: a one-off ~10⁷-flop
-/// factorization, ~3 MB of triangle).
+/// is then factored densely (at 600 nodes: a one-off ~7·10⁷-flop
+/// factorization into two packed triangles, `L` and `Lᵀ`, of 1.4 MB
+/// each).
 const COARSE_LIMIT: usize = 600;
 /// Hard cap on hierarchy depth (a 2^24-wide sheet would hit the node
 /// limits long before this does).
@@ -453,11 +454,12 @@ impl Multigrid {
         let Some(level) = self.levels.get(k) else {
             // Coarsest level: direct dense solve. Dimensions match by
             // construction, so the factor cannot fail here.
-            let solved = self
-                .coarse
-                .solve(r)
+            #[cfg(feature = "telemetry")]
+            let _span = pi3d_telemetry::trace::span("mg", "mg:coarse:solve");
+            z.copy_from_slice(r);
+            self.coarse
+                .solve_in_place(z)
                 .expect("coarse-level dimensions match by construction");
-            z.copy_from_slice(&solved);
             return;
         };
         let Some((buf, rest)) = ws.split_first_mut() else {

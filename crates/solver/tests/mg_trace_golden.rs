@@ -1,7 +1,7 @@
 //! Golden-shape test for multigrid trace coverage: a traced MG-CG solve
-//! must emit `mg:level{k}:smooth/restrict/prolong` spans whose counts
-//! follow the V-cycle structure, and the `solver.mg.cycles` counter must
-//! track the number of cycles applied.
+//! must emit `mg:level{k}:smooth/restrict/prolong` and `mg:coarse:solve`
+//! spans whose counts follow the V-cycle structure, and the
+//! `solver.mg.cycles` counter must track the number of cycles applied.
 //!
 //! This file deliberately holds a single test: the tracer and metrics
 //! registry are process-global, and integration-test files each get
@@ -116,5 +116,10 @@ fn mg_solve_emits_level_spans_and_cycle_counter() {
         span_count("mg:level2:smooth"),
         0,
         "level 2 is the dense coarse solve, not a smoothing level"
+    );
+    assert_eq!(
+        span_count("mg:coarse:solve"),
+        cycles,
+        "one dense coarse solve per cycle"
     );
 }
