@@ -8,8 +8,8 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --offline -D warnings"
-cargo clippy --offline --workspace -- -D warnings
+echo "==> cargo clippy --offline --all-targets -D warnings"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace

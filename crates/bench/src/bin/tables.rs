@@ -26,26 +26,30 @@ use std::time::Instant;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
+    // A flag given without a value (last, or followed by another flag)
+    // is a usage error: taking the next flag as its value would write
+    // `--metrics-out --quick` to a file named `--quick`.
     let flag_value = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    #[cfg(feature = "telemetry")]
-    {
-        if let Some(level) = flag_value("--log-level") {
-            match level.parse() {
-                Ok(l) => pi3d_telemetry::log::set_level(l),
-                Err(e) => {
-                    eprintln!("bad --log-level: {e}");
-                    std::process::exit(2);
-                }
+        let i = args.iter().position(|a| a == name)?;
+        match args.get(i + 1) {
+            Some(value) if !value.starts_with("--") => Some(value.clone()),
+            _ => {
+                eprintln!("{name} needs a value");
+                std::process::exit(2);
             }
         }
-        pi3d_telemetry::report::reset_run();
+    };
+    if let Some(level) = flag_value("--log-level") {
+        match level.parse() {
+            Ok(l) => pi3d_telemetry::log::set_level(l),
+            Err(e) => {
+                eprintln!("bad --log-level: {e}");
+                std::process::exit(2);
+            }
+        }
     }
-    let _metrics_out = flag_value("--metrics-out");
+    pi3d_telemetry::report::reset_run();
+    let metrics_out = flag_value("--metrics-out");
     let threads = match flag_value("--threads") {
         Some(t) => match t.parse::<usize>() {
             Ok(n) if (1..=256).contains(&n) => n,
@@ -105,10 +109,7 @@ fn main() {
                 false
             }
         };
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::report::record_experiment(name, t0.elapsed().as_secs_f64(), ok);
-        #[cfg(not(feature = "telemetry"))]
-        let _ = ok;
     };
 
     section("calibration", &mut || {
@@ -226,8 +227,7 @@ fn main() {
             .map_err(|e| e.to_string())
     });
 
-    #[cfg(feature = "telemetry")]
-    if let Some(path) = &_metrics_out {
+    if let Some(path) = &metrics_out {
         match pi3d_telemetry::RunReport::collect().write_json(std::path::Path::new(path)) {
             Ok(()) => eprintln!("wrote run report to {path}"),
             Err(e) => {

@@ -46,3 +46,16 @@ fn unknown_experiment_names_run_nothing_and_succeed() {
     assert!(ok);
     assert!(!stdout.contains("[calibration]"));
 }
+
+/// A flag that takes a value fails when none follows, instead of taking
+/// the next flag as its value (a report file named `--quick`).
+#[test]
+fn flag_without_a_value_is_a_usage_error() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .args(["--metrics-out", "--quick", "calibration"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--metrics-out needs a value"), "{stderr}");
+}

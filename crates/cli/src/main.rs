@@ -76,7 +76,6 @@
 
 mod serve_cmd;
 mod shard_cmd;
-#[cfg(feature = "telemetry")]
 mod trace_cmd;
 
 use pi3d_core::config;
@@ -114,18 +113,29 @@ fn main() -> ExitCode {
     }
 }
 
-/// Minimal flag parser: positional arguments plus `--flag [value]` pairs.
+/// Minimal flag parser: positional arguments plus `--flag value` pairs.
 struct Args {
     positional: Vec<String>,
     flags: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    fn parse() -> Args {
+    /// The flags that may be given without a value (`--progress` also
+    /// takes an optional `json`); every other flag needs one.
+    const SWITCHES: &'static [&'static str] = &["both-nets", "decompose", "progress", "help"];
+
+    fn parse() -> Result<Args, String> {
         Args::from_iter(std::env::args().skip(1))
     }
 
-    fn from_iter(source: impl IntoIterator<Item = String>) -> Args {
+    /// Splits `source` into positionals and flags. A token after a flag
+    /// is its value unless it is itself a flag.
+    ///
+    /// # Errors
+    ///
+    /// Names the first flag outside [`Args::SWITCHES`] given without a
+    /// value.
+    fn from_iter(source: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut iter = source.into_iter().peekable();
@@ -135,12 +145,15 @@ impl Args {
                     Some(v) if !v.starts_with("--") => iter.next(),
                     _ => None,
                 };
+                if value.is_none() && !Args::SWITCHES.contains(&name) {
+                    return Err(format!("--{name} needs a value"));
+                }
                 flags.push((name.to_owned(), value));
             } else {
                 positional.push(arg);
             }
         }
-        Args { positional, flags }
+        Ok(Args { positional, flags })
     }
 
     fn flag(&self, name: &str) -> Option<&str> {
@@ -156,68 +169,67 @@ impl Args {
 }
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    let args = Args::parse();
-    #[cfg(feature = "telemetry")]
+    let args = Args::parse()?;
     pi3d_telemetry::report::reset_run();
-    let _stage = args
+    let stage = args
         .positional
         .first()
         .cloned()
         .unwrap_or_else(|| "startup".to_owned());
 
-    let _started = Instant::now();
+    let started = Instant::now();
     let result = dispatch(&args);
 
     // The run report is written on *every* exit path — success, error,
     // cancellation, deadline — tagged with the failure stage and exit
     // code, so an interrupted campaign still leaves a valid partial
     // report next to its journal.
-    #[cfg(feature = "telemetry")]
-    {
-        pi3d_telemetry::report::record_experiment(
-            &_stage,
-            _started.elapsed().as_secs_f64(),
-            result.is_ok(),
-        );
-        let (exit_code, error) = match &result {
-            Ok(()) => (0u8, String::new()),
-            Err(e) => (exit_code_for(e.as_ref()), e.to_string()),
-        };
-        pi3d_telemetry::report::set_outcome(pi3d_telemetry::report::RunOutcome {
-            status: status_label(exit_code).to_owned(),
-            stage: _stage.clone(),
-            exit_code,
-            error,
-        });
-        if let Some(path) = args.flag("metrics-out") {
-            match pi3d_telemetry::RunReport::collect().write_json(Path::new(path)) {
-                Ok(()) => eprintln!("wrote run report to {path}"),
-                Err(e) if result.is_ok() => return Err(format!("cannot write {path}: {e}").into()),
-                // Don't let a report-write failure mask the run's error.
-                Err(e) => eprintln!("error: cannot write {path}: {e}"),
-            }
+    pi3d_telemetry::report::record_experiment(
+        &stage,
+        started.elapsed().as_secs_f64(),
+        result.is_ok(),
+    );
+    let (exit_code, error) = match &result {
+        Ok(()) => (0u8, String::new()),
+        Err(e) => (exit_code_for(e.as_ref()), e.to_string()),
+    };
+    pi3d_telemetry::report::set_outcome(pi3d_telemetry::report::RunOutcome {
+        status: status_label(exit_code).to_owned(),
+        stage,
+        exit_code,
+        error,
+    });
+    if let Some(path) = args.flag("metrics-out") {
+        match pi3d_telemetry::RunReport::collect().write_json(Path::new(path)) {
+            Ok(()) => eprintln!("wrote run report to {path}"),
+            Err(e) if result.is_ok() => return Err(format!("cannot write {path}: {e}").into()),
+            // Don't let a report-write failure mask the run's error.
+            Err(e) => eprintln!("error: cannot write {path}: {e}"),
         }
-        // Like the run report, the trace is written on every exit path, so
-        // an interrupted sweep still leaves a loadable timeline of the
-        // work it managed to do.
-        if let Some(path) = args.flag("trace-out") {
-            let snapshot = pi3d_telemetry::trace::drain();
-            match snapshot.write_chrome_json(Path::new(path)) {
-                Ok(()) => eprintln!(
-                    "wrote trace to {path} ({} events, {} dropped)",
-                    snapshot.total_events(),
-                    snapshot.total_dropped()
-                ),
-                Err(e) if result.is_ok() => return Err(format!("cannot write {path}: {e}").into()),
-                Err(e) => eprintln!("error: cannot write {path}: {e}"),
-            }
+    }
+    // Like the run report, the trace is written on every exit path, so
+    // an interrupted sweep still leaves a loadable timeline of the work
+    // it managed to do.
+    if let Some(path) = args.flag("trace-out") {
+        let snapshot = pi3d_telemetry::trace::drain();
+        match snapshot.write_chrome_json(Path::new(path)) {
+            Ok(()) => eprintln!(
+                "wrote trace to {path} ({} events, {} dropped)",
+                snapshot.total_events(),
+                snapshot.total_dropped()
+            ),
+            Err(e) if result.is_ok() => return Err(format!("cannot write {path}: {e}").into()),
+            Err(e) => eprintln!("error: cannot write {path}: {e}"),
         }
     }
     result
 }
 
 fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    #[cfg(feature = "telemetry")]
+    if args.has("help") {
+        print_usage();
+        return Ok(());
+    }
     if let Some(level) = args.flag("log-level") {
         let parsed: pi3d_telemetry::Level =
             level.parse().map_err(|e| format!("bad --log-level: {e}"))?;
@@ -225,32 +237,24 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     }
     // Flight-recorder tracing and the sweep progress heartbeat are armed
     // before any work runs so the very first phase span is captured.
-    #[cfg(feature = "telemetry")]
-    {
-        if args.has("trace-out") {
-            if args.flag("trace-out").is_none() {
-                return Err("--trace-out needs a file path".into());
-            }
-            if let Some(cap) = args.flag("trace-capacity") {
-                let n: usize = cap
-                    .parse()
-                    .map_err(|_| format!("--trace-capacity must be an integer, got {cap}"))?;
-                pi3d_telemetry::trace::set_capacity(n);
-            }
-            pi3d_telemetry::trace::set_enabled(true);
+    if args.has("trace-out") {
+        if let Some(cap) = args.flag("trace-capacity") {
+            let n: usize = cap
+                .parse()
+                .map_err(|_| format!("--trace-capacity must be an integer, got {cap}"))?;
+            pi3d_telemetry::trace::set_capacity(n);
         }
-        if args.has("progress") {
-            let mode = match args.flag("progress") {
-                None => pi3d_telemetry::progress::ProgressMode::Human,
-                Some("json") => pi3d_telemetry::progress::ProgressMode::JsonLines,
-                Some(other) => {
-                    return Err(
-                        format!("--progress takes no value or \"json\", got {other:?}").into(),
-                    )
-                }
-            };
-            pi3d_telemetry::progress::set_mode(mode);
-        }
+        pi3d_telemetry::trace::set_enabled(true);
+    }
+    if args.has("progress") {
+        let mode = match args.flag("progress") {
+            None => pi3d_telemetry::progress::ProgressMode::Human,
+            Some("json") => pi3d_telemetry::progress::ProgressMode::JsonLines,
+            Some(other) => {
+                return Err(format!("--progress takes no value or \"json\", got {other:?}").into())
+            }
+        };
+        pi3d_telemetry::progress::set_mode(mode);
     }
     // Ctrl-C and SIGTERM request a cooperative stop (long loops flush
     // their journal and return typed Cancelled errors; the latched
@@ -267,7 +271,6 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
     // One top-level slice per invocation so every lower-layer span has a
     // parent in the trace timeline.
-    #[cfg(feature = "telemetry")]
     let _cmd_slice = pi3d_telemetry::trace::span_with("cli", || format!("cmd:{command}"));
 
     match command {
@@ -282,9 +285,8 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "serve" => serve_cmd::serve_command(args),
         "call" => serve_cmd::call_command(args),
         "merge-journals" => shard_cmd::merge_journals_command(args),
-        #[cfg(feature = "telemetry")]
         "trace" => trace_cmd::trace_command(args),
-        "help" | "--help" => {
+        "help" => {
             print_usage();
             Ok(())
         }
@@ -654,7 +656,8 @@ fn simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
                 .with_cancel(CancelToken::global());
             sim.run(&requests).map_err(CoreError::from)
         },
-    )?;
+    )?
+    .into_results()?;
     for (i, (policy, stats)) in policies.iter().zip(results).enumerate() {
         if i > 0 {
             println!();
@@ -900,7 +903,7 @@ mod tests {
     use super::*;
 
     fn args(parts: &[&str]) -> Args {
-        Args::from_iter(parts.iter().map(|s| s.to_string()))
+        Args::from_iter(parts.iter().map(|s| s.to_string())).unwrap()
     }
 
     #[test]
@@ -923,9 +926,17 @@ mod tests {
     }
 
     #[test]
-    fn flag_followed_by_flag_takes_no_value() {
-        let a = args(&["export", "d.cfg", "--svg", "--spice", "out.sp"]);
-        assert_eq!(a.flag("svg"), None);
-        assert_eq!(a.flag("spice"), Some("out.sp"));
+    fn flag_without_a_value_is_a_usage_error() {
+        let parse = |parts: &[&str]| Args::from_iter(parts.iter().map(|s| s.to_string()));
+        let err = parse(&["export", "d.cfg", "--svg", "--spice", "out.sp"]).err();
+        assert_eq!(err.as_deref(), Some("--svg needs a value"));
+        let err = parse(&["analyze", "d.cfg", "--metrics-out"]).err();
+        assert_eq!(err.as_deref(), Some("--metrics-out needs a value"));
+        let a = parse(&["--help"]).unwrap();
+        assert!(a.has("help"));
+        let a = parse(&["faults", "--progress", "--both-nets", "--decompose"]).unwrap();
+        assert!(["progress", "both-nets", "decompose"]
+            .iter()
+            .all(|f| a.has(f)));
     }
 }

@@ -241,7 +241,6 @@ fn report_quarantine(
             "  {:>6}  {:>16}  {:>8}  {:<16} {}",
             q.unit, q.key, q.attempts, q.last_exit, q.stage
         );
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::report::record_quarantined_unit(
             pi3d_telemetry::report::QuarantinedUnitRecord {
                 unit: q.unit as u64,
@@ -286,7 +285,7 @@ mod tests {
     use super::*;
 
     fn args(parts: &[&str]) -> Args {
-        Args::from_iter(parts.iter().map(|s| s.to_string()))
+        Args::from_iter(parts.iter().map(|s| s.to_string())).unwrap()
     }
 
     #[test]

@@ -102,6 +102,57 @@ fn missing_file_is_a_clean_error() {
     assert!(stderr.contains("cannot read"), "{stderr}");
 }
 
+/// A flag that takes a value fails, naming the flag, when none follows —
+/// instead of running without it (no report, no journal).
+#[test]
+fn flag_without_a_value_is_a_usage_error() {
+    let cfg = write_config("novalue.cfg", "benchmark = ddr3-off\n");
+    let cfg = cfg.to_str().unwrap();
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["analyze", cfg, "--metrics-out", "--grid", "10"],
+            "--metrics-out",
+        ),
+        (
+            &[
+                "faults",
+                cfg,
+                "--trials",
+                "1",
+                "--reads",
+                "0",
+                "--grid",
+                "8",
+                "--journal",
+                "--threads",
+                "1",
+            ],
+            "--journal",
+        ),
+        (
+            &["analyze", cfg, "--grid", "10", "--trace-out"],
+            "--trace-out",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = pi3d(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} needs a value")),
+            "{args:?}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn help_flag_prints_usage_and_succeeds() {
+    let out = pi3d(&["--help"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
 #[test]
 fn lut_roundtrip_feeds_simulate() {
     let cfg = write_config("lut.cfg", "benchmark = ddr3-off\n");

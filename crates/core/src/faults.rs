@@ -21,7 +21,7 @@
 //! [`FaultSweepOptions::threads`].
 
 use crate::error::CoreError;
-use crate::jobs::{config_hash_of, journaled_sweep, JobContext};
+use crate::jobs::{config_hash_of, journaled_sweep, JobContext, PartialSweep};
 use crate::lut_builder::build_ir_lut_from_mesh;
 use crate::report::{mv, TextTable};
 use pi3d_layout::units::MilliVolts;
@@ -562,52 +562,16 @@ pub fn run_fault_sweep(
 ///
 /// As [`run_fault_sweep`], plus [`CoreError::Cancelled`],
 /// [`CoreError::DeadlineExceeded`], [`CoreError::WorkerPanic`], and
-/// [`CoreError::Journal`] from the durability layer.
+/// [`CoreError::Journal`] from the durability layer, and
+/// [`CoreError::Shard`] when `ctx` is scoped to a shard slice or skip
+/// list (shard workers use [`run_fault_sweep_shard`]).
 pub fn run_fault_sweep_with(
     design: &StackDesign,
     options: &FaultSweepOptions,
     ctx: &JobContext,
 ) -> Result<FaultSweepReport, CoreError> {
-    #[cfg(feature = "telemetry")]
     let _span = pi3d_telemetry::span::span("fault_sweep");
-    options.base.validate()?;
-
-    // Flat trial descriptors so one journaled sweep covers all levels.
-    let mut descriptors = Vec::with_capacity(options.levels.len() * options.trials);
-    for (level_idx, &level) in options.levels.iter().enumerate() {
-        for trial in 0..options.trials {
-            descriptors.push((level_idx, level, trial));
-        }
-    }
-    let config_hash = sweep_config_hash(design, options);
-    let outcomes = journaled_sweep(
-        "fault_sweep",
-        config_hash,
-        &descriptors,
-        options.threads,
-        ctx,
-        |_, trial| trial_to_json(trial),
-        |unit, payload| {
-            // Journaled trials must match what this sweep would compute:
-            // same position and same positional seed.
-            let (idx, level, trial) = descriptors[unit];
-            trial_from_json(payload).filter(|t| {
-                t.level == level
-                    && t.trial == trial
-                    && t.seed == trial_seed(options.base.seed, idx, trial)
-            })
-        },
-        |_, &(idx, level, trial)| {
-            let seed = trial_seed(options.base.seed, idx, trial);
-            let spec = options.base.scaled(level).with_seed(seed);
-            run_trial(design, options, spec).map(|outcome| FaultTrial {
-                level,
-                trial,
-                seed,
-                outcome,
-            })
-        },
-    )?;
+    let outcomes = sweep_trials(design, options, ctx)?.into_results()?;
 
     let levels: Vec<FaultLevelSummary> = options
         .levels
@@ -621,7 +585,6 @@ pub fn run_fault_sweep_with(
         })
         .collect();
 
-    #[cfg(feature = "telemetry")]
     for l in &levels {
         pi3d_telemetry::report::record_fault_sweep(pi3d_telemetry::report::FaultSweepRecord {
             label: design.benchmark().to_string(),
@@ -691,24 +654,37 @@ pub fn run_fault_sweep_shard(
     options: &FaultSweepOptions,
     ctx: &JobContext,
 ) -> Result<(usize, usize), CoreError> {
-    #[cfg(feature = "telemetry")]
     let _span = pi3d_telemetry::span::span("fault_sweep_shard");
+    let partial = sweep_trials(design, options, ctx)?;
+    Ok((partial.completed, partial.in_scope))
+}
+
+/// The journaled trial sweep behind both entry points: every trial in
+/// the scope of `ctx`, one work unit per `(level, trial)` pair.
+fn sweep_trials(
+    design: &StackDesign,
+    options: &FaultSweepOptions,
+    ctx: &JobContext,
+) -> Result<PartialSweep<FaultTrial>, CoreError> {
     options.base.validate()?;
+
+    // Flat trial descriptors so one journaled sweep covers all levels.
     let mut descriptors = Vec::with_capacity(options.levels.len() * options.trials);
     for (level_idx, &level) in options.levels.iter().enumerate() {
         for trial in 0..options.trials {
             descriptors.push((level_idx, level, trial));
         }
     }
-    let config_hash = sweep_config_hash(design, options);
-    let partial = crate::jobs::journaled_sweep_partial(
+    journaled_sweep(
         "fault_sweep",
-        config_hash,
+        sweep_config_hash(design, options),
         &descriptors,
         options.threads,
         ctx,
         |_, trial| trial_to_json(trial),
         |unit, payload| {
+            // Journaled trials must match what this sweep would compute:
+            // same position and same positional seed.
             let (idx, level, trial) = descriptors[unit];
             trial_from_json(payload).filter(|t| {
                 t.level == level
@@ -726,8 +702,7 @@ pub fn run_fault_sweep_shard(
                 outcome,
             })
         },
-    )?;
-    Ok((partial.completed, partial.in_scope))
+    )
 }
 
 #[cfg(test)]

@@ -47,7 +47,8 @@
 //!     |_, &r| Json::num(r as f64),
 //!     |_, payload| payload.as_num().map(|v| v as u64),
 //!     |_, &v| Ok(v * v),
-//! )?;
+//! )?
+//! .into_results()?;
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! # Ok::<(), pi3d_core::CoreError>(())
 //! ```
@@ -252,7 +253,6 @@ impl Journal {
             None => ("", text),
         };
         if !fragment.is_empty() {
-            #[cfg(feature = "telemetry")]
             pi3d_telemetry::metrics::counter("jobs.torn_tail_dropped").incr(1);
         }
         let mut lines = complete.lines();
@@ -570,13 +570,6 @@ impl JobContext {
         self
     }
 
-    /// True when this context restricts the unit scope (a shard slice,
-    /// skipped units, or deferred units) and therefore cannot produce a
-    /// complete result vector.
-    pub fn is_scoped(&self) -> bool {
-        self.shard.is_some() || !self.skip.is_empty() || !self.defer.is_empty()
-    }
-
     /// The cancellation token, if one is attached.
     pub fn cancel_token(&self) -> Option<&CancelToken> {
         self.cancel.as_ref()
@@ -721,7 +714,7 @@ fn chaos_panic_units(kind: &str) -> Vec<usize> {
 }
 
 /// A unit-indexed view of a (possibly scope-restricted) journaled sweep,
-/// returned by [`journaled_sweep_partial`].
+/// returned by [`journaled_sweep`].
 #[derive(Debug)]
 pub struct PartialSweep<R> {
     /// Unit-indexed result slots; `None` marks out-of-scope units (other
@@ -733,24 +726,64 @@ pub struct PartialSweep<R> {
     pub completed: usize,
 }
 
-/// [`journaled_sweep`] generalized to scope-restricted contexts: the
-/// shard-worker entry point.
+impl<R> PartialSweep<R> {
+    /// Every unit's result, in unit order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Shard`] when the sweep ran under a scoped
+    /// context (a shard slice or skip list) that left units out.
+    pub fn into_results(self) -> Result<Vec<R>, CoreError> {
+        let total = self.slots.len();
+        let in_scope = self.in_scope;
+        self.slots
+            .into_iter()
+            .collect::<Option<Vec<R>>>()
+            .ok_or_else(|| CoreError::Shard {
+                reason: format!(
+                    "a scoped sweep covers {in_scope} of {total} units; \
+                     only a full-scope sweep has every result"
+                ),
+            })
+    }
+}
+
+/// Runs `compute` over every item in the scope of `ctx`, journaling each
+/// completed unit and skipping units already journaled, with cooperative
+/// cancellation, a wall-clock deadline, and panic isolation per unit.
 ///
-/// When `ctx` carries a shard slice ([`JobContext::with_shard`]), only
-/// units whose [`unit_key`] lands in the slice are computed, and the
-/// journal header records the shard identity. Skipped units
-/// ([`JobContext::with_skip_units`], quarantined elsewhere) are excluded
-/// entirely; deferred units ([`JobContext::with_defer_units`], crash
-/// suspects) run in a *serial* tail batch after the parallel batch, so a
-/// repeat crash blames exactly one unit. Interruption totals
-/// ([`CoreError::Cancelled`]/[`CoreError::DeadlineExceeded`]) count
-/// in-scope units only.
+/// * Work fans across `threads` panic-isolated workers
+///   ([`parallel_map_catch`](pi3d_telemetry::par::parallel_map_catch));
+///   results merge back in unit order, so output is bit-identical for
+///   every thread count *and* for every resume point.
+/// * When `ctx` carries a journal, units recorded in it are decoded
+///   instead of recomputed, and each fresh unit is fsync'd to it the
+///   moment it completes — even when the sweep later fails.
+/// * The cancel token and deadline are polled before each unit starts;
+///   units already running finish (and are journaled) normally.
+///
+/// A plain context covers every unit, and
+/// [`into_results`](PartialSweep::into_results) hands back the full
+/// result vector. Shard workers scope the sweep: with a shard slice
+/// ([`JobContext::with_shard`]), only units whose [`unit_key`] lands in
+/// the slice are computed, and the journal header records the shard
+/// identity. Skipped units ([`JobContext::with_skip_units`], quarantined
+/// elsewhere) are excluded entirely; deferred units
+/// ([`JobContext::with_defer_units`], crash suspects) run in a *serial*
+/// tail batch after the parallel batch, so a repeat crash blames exactly
+/// one unit.
 ///
 /// # Errors
 ///
-/// As [`journaled_sweep`], with the same strict priority.
+/// With strict priority (a real failure is never masked by the shutdown
+/// it triggered): a `compute` error for the lowest unit, then
+/// [`CoreError::WorkerPanic`] for the lowest panicked unit, then
+/// [`CoreError::Cancelled`], then [`CoreError::DeadlineExceeded`] —
+/// matching [`pi3d_solver::SolveBudget::interruption`], where an explicit
+/// cancel outranks a deadline. Interruption totals count in-scope units
+/// only. Journal failures surface as [`CoreError::Journal`].
 #[allow(clippy::too_many_arguments)]
-pub fn journaled_sweep_partial<T, R, E, D, C>(
+pub fn journaled_sweep<T, R, E, D, C>(
     kind: &str,
     config_hash: u64,
     items: &[T],
@@ -816,11 +849,9 @@ where
         }
         slots[unit] = Some(decoded);
     }
-    #[cfg(feature = "telemetry")]
     if resumed > 0 {
         pi3d_telemetry::metrics::counter("jobs.resumed_units").incr(resumed);
     }
-    let _ = resumed;
 
     let scope_count = (0..items.len()).filter(|&u| in_scope(u)).count();
     // Deferred (crash-suspect) units run serially *after* the parallel
@@ -835,13 +866,11 @@ where
     let deadline_hit = AtomicBool::new(false);
     let journal_ref = journal.as_ref();
     let attempts_ref = attempts.as_ref();
-    #[cfg(feature = "telemetry")]
     let progress = pi3d_telemetry::progress::start(
         kind,
         scope_count,
         scope_count - pending.len() - deferred.len(),
     );
-    #[cfg(feature = "telemetry")]
     let unit_hist = pi3d_telemetry::metrics::histogram(&format!("jobs.{kind}.unit_ms"));
     let run_unit = |unit: usize| -> Result<Option<R>, CoreError> {
         if ctx.is_cancelled() {
@@ -854,9 +883,7 @@ where
         }
         // One trace slice per work unit, so a sweep renders as a
         // per-worker timeline of `kind[unit]` slices in the trace view.
-        #[cfg(feature = "telemetry")]
         let _unit_slice = pi3d_telemetry::trace::span_with("jobs", || format!("{kind}[{unit}]"));
-        #[cfg(feature = "telemetry")]
         let unit_started = Instant::now();
         if let Some(attempts) = attempts_ref {
             attempts.record(unit)?;
@@ -867,15 +894,11 @@ where
         );
         let result = compute(unit, &items[unit])?;
         if let Some(journal) = journal_ref {
-            #[cfg(feature = "telemetry")]
             let _journal_slice = pi3d_telemetry::trace::span("jobs", "journal_append");
             journal.append(unit, config_hash, encode(unit, &result))?;
         }
-        #[cfg(feature = "telemetry")]
-        {
-            unit_hist.record(unit_started.elapsed().as_millis() as u64);
-            progress.unit_done();
-        }
+        unit_hist.record(unit_started.elapsed().as_millis() as u64);
+        progress.unit_done();
         Ok(Some(result))
     };
     let mut results =
@@ -885,7 +908,6 @@ where
         1,
         |_, &unit| run_unit(unit),
     ));
-    #[cfg(feature = "telemetry")]
     drop(progress);
 
     let mut first_error: Option<CoreError> = None;
@@ -924,7 +946,6 @@ where
         return Err(CoreError::WorkerPanic { unit, message });
     }
     if cancelled.load(Ordering::Relaxed) {
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("jobs.sweeps_cancelled").incr(1);
         return Err(CoreError::Cancelled {
             completed,
@@ -932,7 +953,6 @@ where
         });
     }
     if deadline_hit.load(Ordering::Relaxed) {
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("jobs.sweeps_deadline_exceeded").incr(1);
         return Err(CoreError::DeadlineExceeded {
             completed,
@@ -946,73 +966,6 @@ where
     })
 }
 
-/// Runs `compute` over every item, journaling each completed unit and
-/// skipping units already journaled, with cooperative cancellation, a
-/// wall-clock deadline, and panic isolation per unit.
-///
-/// * Work fans across `threads` panic-isolated workers
-///   ([`parallel_map_catch`](pi3d_telemetry::par::parallel_map_catch));
-///   results merge back in unit order, so output is bit-identical for
-///   every thread count *and* for every resume point.
-/// * When `ctx` carries a journal, units recorded in it are decoded
-///   instead of recomputed, and each fresh unit is fsync'd to it the
-///   moment it completes — even when the sweep later fails.
-/// * The cancel token and deadline are polled before each unit starts;
-///   units already running finish (and are journaled) normally.
-///
-/// # Errors
-///
-/// With strict priority (a real failure is never masked by the shutdown
-/// it triggered): a `compute` error for the lowest unit, then
-/// [`CoreError::WorkerPanic`] for the lowest panicked unit, then
-/// [`CoreError::Cancelled`], then [`CoreError::DeadlineExceeded`] —
-/// matching [`pi3d_solver::SolveBudget::interruption`], where an explicit
-/// cancel outranks a deadline. Journal failures surface as
-/// [`CoreError::Journal`]. A scope-restricted context (shard slice, skip
-/// or defer lists) is rejected with [`CoreError::Shard`] — scoped sweeps
-/// go through [`journaled_sweep_partial`].
-#[allow(clippy::too_many_arguments)]
-pub fn journaled_sweep<T, R, E, D, C>(
-    kind: &str,
-    config_hash: u64,
-    items: &[T],
-    threads: usize,
-    ctx: &JobContext,
-    encode: E,
-    decode: D,
-    compute: C,
-) -> Result<Vec<R>, CoreError>
-where
-    T: Sync,
-    R: Send,
-    E: Fn(usize, &R) -> Json + Sync,
-    D: Fn(usize, &Json) -> Option<R>,
-    C: Fn(usize, &T) -> Result<R, CoreError> + Sync,
-{
-    if ctx.is_scoped() {
-        return Err(CoreError::Shard {
-            reason: "journaled_sweep requires a full-scope context \
-                     (use journaled_sweep_partial for shard workers)"
-                .to_owned(),
-        });
-    }
-    let partial = journaled_sweep_partial(
-        kind,
-        config_hash,
-        items,
-        threads,
-        ctx,
-        encode,
-        decode,
-        compute,
-    )?;
-    Ok(partial
-        .slots
-        .into_iter()
-        .map(|s| s.expect("uninterrupted full-scope sweep fills every slot"))
-        .collect())
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -1023,12 +976,12 @@ mod tests {
         std::env::temp_dir().join(format!("pi3d-jobs-{}-{name}", std::process::id()))
     }
 
-    fn sweep_squares(
+    fn partial_squares(
         ctx: &JobContext,
         items: &[u64],
         threads: usize,
         calls: &AtomicUsize,
-    ) -> Result<Vec<u64>, CoreError> {
+    ) -> Result<PartialSweep<u64>, CoreError> {
         journaled_sweep(
             "squares",
             config_hash_of(&["squares"]),
@@ -1042,6 +995,15 @@ mod tests {
                 Ok(v * v)
             },
         )
+    }
+
+    fn sweep_squares(
+        ctx: &JobContext,
+        items: &[u64],
+        threads: usize,
+        calls: &AtomicUsize,
+    ) -> Result<Vec<u64>, CoreError> {
+        partial_squares(ctx, items, threads, calls).and_then(PartialSweep::into_results)
     }
 
     #[test]
@@ -1200,30 +1162,20 @@ mod tests {
 
     #[test]
     fn scoped_context_is_rejected_by_journaled_sweep() {
-        let ctx = JobContext::new().with_shard(0, 2);
-        let err = sweep_squares(&ctx, &[1, 2, 3], 1, &AtomicUsize::new(0)).unwrap_err();
-        assert!(matches!(err, CoreError::Shard { .. }), "{err}");
-    }
-
-    fn partial_squares(
-        ctx: &JobContext,
-        items: &[u64],
-        threads: usize,
-        calls: &AtomicUsize,
-    ) -> Result<PartialSweep<u64>, CoreError> {
-        journaled_sweep_partial(
-            "squares",
-            config_hash_of(&["squares"]),
-            items,
-            threads,
-            ctx,
-            |_, &r| Json::num(r as f64),
-            |_, payload| payload.as_num().map(|v| v as u64),
-            |_, &v| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                Ok(v * v)
-            },
-        )
+        let items: Vec<u64> = (0..20).collect();
+        for ctx in [
+            JobContext::new().with_shard(0, 2),
+            JobContext::new().with_skip_units(vec![3]),
+        ] {
+            let partial = partial_squares(&ctx, &items, 1, &AtomicUsize::new(0)).unwrap();
+            assert!(partial.in_scope < items.len());
+            let err = partial.into_results().unwrap_err();
+            assert!(matches!(err, CoreError::Shard { .. }), "{err}");
+        }
+        // Deferred units still run, so a defer-only sweep is complete.
+        let ctx = JobContext::new().with_defer_units(vec![3]);
+        let all = sweep_squares(&ctx, &items, 1, &AtomicUsize::new(0)).unwrap();
+        assert_eq!(all, items.iter().map(|v| v * v).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1461,6 +1413,7 @@ mod tests {
                     Ok(v * v)
                 },
             )
+            .and_then(PartialSweep::into_results)
         };
         let calls = AtomicUsize::new(0);
         let err = run(&calls, true).unwrap_err();

@@ -77,7 +77,6 @@ pub fn build_ir_lut_from_mesh(
     mesh: &StackMesh,
     max_banks_per_die: usize,
 ) -> Result<IrDropLut, CoreError> {
-    #[cfg(feature = "telemetry")]
     let _span = pi3d_telemetry::span::span("lut_build");
     let dies = mesh.design().dram_die_count();
 

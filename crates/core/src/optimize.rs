@@ -1,6 +1,6 @@
 use crate::design_space::{CategoricalCombo, DesignPoint, DesignSpace};
 use crate::error::CoreError;
-use crate::jobs::{config_hash_of, journaled_sweep, JobContext};
+use crate::jobs::{config_hash_of, journaled_sweep, JobContext, PartialSweep};
 use crate::platform::Platform;
 use crate::regression::{LogIrModel, RegressionModel};
 use pi3d_layout::Benchmark;
@@ -145,37 +145,18 @@ fn combo_from_json(combo: CategoricalCombo, payload: &Json) -> Option<ComboModel
 ///
 /// As [`characterize`], plus [`CoreError::Cancelled`],
 /// [`CoreError::DeadlineExceeded`], [`CoreError::WorkerPanic`], and
-/// [`CoreError::Journal`] from the durability layer.
+/// [`CoreError::Journal`] from the durability layer, and
+/// [`CoreError::Shard`] when `ctx` is scoped to a shard slice or skip
+/// list (shard workers use [`characterize_shard`]).
 pub fn characterize_with(
     platform: &Platform,
     benchmark: Benchmark,
     threads: usize,
     ctx: &JobContext,
 ) -> Result<Characterization, CoreError> {
-    #[cfg(feature = "telemetry")]
     let _span = pi3d_telemetry::span::span("characterize");
-    let space = DesignSpace::new(benchmark);
-    let state = space.default_state();
-    let combos = space.categorical_combos();
-    if combos.is_empty() {
-        return Err(CoreError::EmptyDesignSpace {
-            benchmark: benchmark.to_string(),
-        });
-    }
-    // Each combo fits an independent model and is one journaled work
-    // unit; dispatch is one combo at a time (instead of pre-chunking), so
-    // a slow combo never serializes the rest of its chunk, and results
-    // come back in combo order regardless of thread count.
-    let models = journaled_sweep(
-        "characterize",
-        characterize_config_hash(platform, benchmark),
-        &combos,
-        threads,
-        ctx,
-        |_, model| combo_to_json(model),
-        |unit, payload| combo_from_json(combos[unit], payload),
-        |_, &combo| fit_combo(platform, benchmark, &space, combo, &state),
-    )?;
+    let (space, sweep) = sweep_combos(platform, benchmark, threads, ctx)?;
+    let models = sweep.into_results()?;
 
     let sample_count = space.sample_points().len();
     Ok(Characterization {
@@ -224,8 +205,20 @@ pub fn characterize_shard(
     threads: usize,
     ctx: &JobContext,
 ) -> Result<(usize, usize), CoreError> {
-    #[cfg(feature = "telemetry")]
     let _span = pi3d_telemetry::span::span("characterize_shard");
+    let (_, partial) = sweep_combos(platform, benchmark, threads, ctx)?;
+    Ok((partial.completed, partial.in_scope))
+}
+
+/// The journaled combo sweep behind both entry points: one fitted model
+/// per categorical combo in the scope of `ctx`, with the design space
+/// the combos were drawn from.
+fn sweep_combos(
+    platform: &Platform,
+    benchmark: Benchmark,
+    threads: usize,
+    ctx: &JobContext,
+) -> Result<(DesignSpace, PartialSweep<ComboModel>), CoreError> {
     let space = DesignSpace::new(benchmark);
     let state = space.default_state();
     let combos = space.categorical_combos();
@@ -234,7 +227,11 @@ pub fn characterize_shard(
             benchmark: benchmark.to_string(),
         });
     }
-    let partial = crate::jobs::journaled_sweep_partial(
+    // Each combo fits an independent model and is one journaled work
+    // unit; dispatch is one combo at a time (instead of pre-chunking), so
+    // a slow combo never serializes the rest of its chunk, and results
+    // come back in combo order regardless of thread count.
+    let sweep = journaled_sweep(
         "characterize",
         characterize_config_hash(platform, benchmark),
         &combos,
@@ -244,7 +241,7 @@ pub fn characterize_shard(
         |unit, payload| combo_from_json(combos[unit], payload),
         |_, &combo| fit_combo(platform, benchmark, &space, combo, &state),
     )?;
-    Ok((partial.completed, partial.in_scope))
+    Ok((space, sweep))
 }
 
 fn fit_combo(

@@ -306,7 +306,6 @@ impl<T> RequestQueue<T> {
             return Err(item);
         }
         inner.items.push_back(item);
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::gauge("serve.queue.depth").set(inner.items.len() as f64);
         drop(inner);
         self.cv.notify_one();
@@ -320,7 +319,6 @@ impl<T> RequestQueue<T> {
         let mut inner = self.lock();
         loop {
             if let Some(item) = inner.items.pop_front() {
-                #[cfg(feature = "telemetry")]
                 pi3d_telemetry::metrics::gauge("serve.queue.depth").set(inner.items.len() as f64);
                 return Some(item);
             }
@@ -433,13 +431,10 @@ impl<T: Send + 'static> WorkerPool<T> {
                 // Surface the panic payload (if any) and drop the
                 // corpse; join on a finished thread cannot block.
                 if let Err(panic) = worker.join() {
-                    #[cfg(feature = "telemetry")]
                     pi3d_telemetry::warn!(
                         "serve worker panicked: {}",
                         panic_message(panic.as_ref())
                     );
-                    #[cfg(not(feature = "telemetry"))]
-                    drop(panic);
                 }
             } else {
                 live.push(worker);
@@ -452,7 +447,6 @@ impl<T: Send + 'static> WorkerPool<T> {
             respawned += 1;
         }
         self.respawned += respawned as u64;
-        #[cfg(feature = "telemetry")]
         if respawned > 0 {
             pi3d_telemetry::metrics::counter("serve.workers.respawned").incr(respawned as u64);
         }
@@ -688,7 +682,6 @@ impl Breaker {
         let now = Instant::now();
         if now < open_until {
             self.short_circuits.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
             pi3d_telemetry::metrics::counter("serve.breaker.short_circuits").incr(1);
             let retry_ms = open_until.saturating_duration_since(now).as_millis();
             return Err(Fail::bad_request(
@@ -730,7 +723,6 @@ impl Breaker {
         if entry.consecutive_failures >= self.threshold && entry.open_until.is_none() {
             entry.open_until = Some(Instant::now() + self.cooldown);
             self.opens.fetch_add(1, Ordering::Relaxed);
-            #[cfg(feature = "telemetry")]
             pi3d_telemetry::metrics::counter("serve.breaker.opens").incr(1);
         }
         self.tracked.store(entries.len(), Ordering::Release);
@@ -854,7 +846,6 @@ impl ServeCache {
                 let value = entry.value.clone();
                 state.entries.push(entry); // most recently used
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
                 pi3d_telemetry::metrics::counter("serve.cache.hits").incr(1);
                 return Ok(value);
             }
@@ -871,10 +862,8 @@ impl ServeCache {
         drop(state);
 
         self.misses.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("serve.cache.misses").incr(1);
         let built = {
-            #[cfg(feature = "telemetry")]
             let _slice = pi3d_telemetry::trace::span_with("serve", || "serve:cache_build".into());
             build()
         };
@@ -898,10 +887,8 @@ impl ServeCache {
                     let evicted = state.entries.remove(0);
                     state.bytes -= evicted.bytes;
                     self.evictions.fetch_add(1, Ordering::Relaxed);
-                    #[cfg(feature = "telemetry")]
                     pi3d_telemetry::metrics::counter("serve.cache.evictions").incr(1);
                 }
-                #[cfg(feature = "telemetry")]
                 pi3d_telemetry::metrics::gauge("serve.cache.bytes").set(state.bytes as f64);
                 Ok(value)
             }
@@ -1109,9 +1096,7 @@ impl ServeState {
             .and_then(Json::as_str)
             .unwrap_or("")
             .to_owned();
-        #[cfg(feature = "telemetry")]
         let _slice = pi3d_telemetry::trace::span_with("serve", || "serve:request".into());
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("serve.requests").incr(1);
 
         // Shared state is unwind-safe by construction: every mutex in
@@ -1124,7 +1109,6 @@ impl ServeState {
             Ok(result) => result,
             Err(panic) => {
                 self.panics_caught.fetch_add(1, Ordering::Relaxed);
-                #[cfg(feature = "telemetry")]
                 pi3d_telemetry::metrics::counter("serve.panics_caught").incr(1);
                 (
                     "panic",
@@ -1212,7 +1196,6 @@ impl ServeState {
         self.last_queue_depth.store(depth, Ordering::Relaxed);
         if depth >= self.options.shed_high_watermark.max(1) {
             if !self.shedding.swap(true, Ordering::AcqRel) {
-                #[cfg(feature = "telemetry")]
                 pi3d_telemetry::warn!(
                     "serve: queue depth {depth} crossed high watermark, shedding load"
                 );
@@ -1246,7 +1229,6 @@ impl ServeState {
     /// `retry_after_ms` hint clients feed into their backoff.
     pub fn shed_response(&self, request: &Json) -> Json {
         self.shed_count.fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("serve.shed").incr(1);
         let retry_ms = self.options.shed_retry_after.as_millis() as f64;
         let id = request.get("id").cloned().unwrap_or(Json::Null);

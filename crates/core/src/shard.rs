@@ -230,7 +230,6 @@ pub fn reclaim_stale_lease(path: &Path) -> Result<bool, CoreError> {
     }
     std::fs::remove_file(path)
         .map_err(|e| shard_error(format!("cannot reclaim lease {}: {e}", path.display())))?;
-    #[cfg(feature = "telemetry")]
     pi3d_telemetry::metrics::counter("shard.leases.reclaimed").incr(1);
     Ok(true)
 }
@@ -689,7 +688,6 @@ struct ShardSlot {
     respawns: u32,
     defer: Vec<usize>,
     done: bool,
-    #[cfg(feature = "telemetry")]
     span: Option<pi3d_telemetry::trace::TraceSpan>,
 }
 
@@ -740,7 +738,6 @@ fn fan_out_signal(slots: &mut [ShardSlot], sig: i32) {
     for slot in slots.iter_mut() {
         if let Some(mut child) = slot.child.take() {
             let _ = child.wait();
-            #[cfg(feature = "telemetry")]
             drop(slot.span.take());
         }
     }
@@ -773,7 +770,6 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
     if opts.shards == 0 {
         return Err(shard_error("shard count must be at least 1"));
     }
-    #[cfg(feature = "telemetry")]
     let _sup_span = pi3d_telemetry::trace::span_with("shard", || {
         format!("supervise[{}x{}]", opts.shards, opts.kind)
     });
@@ -794,7 +790,6 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
             respawns: 0,
             defer: Vec::new(),
             done: false,
-            #[cfg(feature = "telemetry")]
             span: None,
         })
         .collect();
@@ -818,7 +813,6 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
         }
 
         let mut alive = 0usize;
-        #[cfg(feature = "telemetry")]
         let mut max_heartbeat_age = Duration::ZERO;
         for index in 0..slots.len() {
             if slots[index].done {
@@ -836,13 +830,10 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
                 let child = spawn_worker(opts, index, &slots[index], &quarantined)?;
                 slots[index].child_pid = child.id();
                 slots[index].spawned_at = Instant::now();
-                #[cfg(feature = "telemetry")]
-                {
-                    let generation = slots[index].respawns;
-                    slots[index].span = Some(pi3d_telemetry::trace::span_with("shard", || {
-                        format!("worker{index}.gen{generation}")
-                    }));
-                }
+                let generation = slots[index].respawns;
+                slots[index].span = Some(pi3d_telemetry::trace::span_with("shard", || {
+                    format!("worker{index}.gen{generation}")
+                }));
                 slots[index].child = Some(child);
             }
 
@@ -859,10 +850,7 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
                     // has a lease but stopped refreshing it is wedged.
                     let age = lease_age(&lease_path(&slots[index].journal))
                         .unwrap_or_else(|| slots[index].spawned_at.elapsed());
-                    #[cfg(feature = "telemetry")]
-                    {
-                        max_heartbeat_age = max_heartbeat_age.max(age);
-                    }
+                    max_heartbeat_age = max_heartbeat_age.max(age);
                     if age > opts.heartbeat_timeout {
                         let child = slots[index].child.as_mut().expect("checked above");
                         let _ = child.kill();
@@ -878,7 +866,6 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
             };
 
             slots[index].child = None;
-            #[cfg(feature = "telemetry")]
             drop(slots[index].span.take());
 
             match status.code() {
@@ -934,7 +921,6 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
                     };
                     append_quarantine(&quarantine_file, &record)?;
                     quarantined.push(record);
-                    #[cfg(feature = "telemetry")]
                     pi3d_telemetry::metrics::counter("shard.units.quarantined").incr(1);
                 } else {
                     defer.push(unit);
@@ -943,7 +929,6 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
             slots[index].defer = defer;
             slots[index].respawns += 1;
             total_respawns += 1;
-            #[cfg(feature = "telemetry")]
             pi3d_telemetry::metrics::counter("shard.workers.respawned").incr(1);
             if slots[index].respawns > opts.max_respawns_per_shard {
                 fan_out_signal(&mut slots, SIGTERM);
@@ -968,13 +953,9 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
             );
         }
 
-        #[cfg(feature = "telemetry")]
-        {
-            pi3d_telemetry::metrics::gauge("shard.workers.alive").set(alive as f64);
-            pi3d_telemetry::metrics::gauge("shard.heartbeat.age_ms")
-                .set(max_heartbeat_age.as_millis() as f64);
-        }
-        let _ = alive;
+        pi3d_telemetry::metrics::gauge("shard.workers.alive").set(alive as f64);
+        pi3d_telemetry::metrics::gauge("shard.heartbeat.age_ms")
+            .set(max_heartbeat_age.as_millis() as f64);
 
         if slots.iter().all(|s| s.done) {
             break;
@@ -1014,7 +995,7 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::jobs::{config_hash_of, journaled_sweep, journaled_sweep_partial, JobContext};
+    use crate::jobs::{config_hash_of, journaled_sweep, JobContext, PartialSweep};
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pi3d-shard-{}-{name}", std::process::id()))
@@ -1028,7 +1009,7 @@ mod tests {
                 let ctx = JobContext::new()
                     .with_journal(&path)
                     .with_shard(index, shards);
-                journaled_sweep_partial(
+                journaled_sweep(
                     "squares",
                     config_hash_of(&["squares"]),
                     items,
@@ -1061,6 +1042,7 @@ mod tests {
             |_, payload| payload.as_num().map(|v| v as u64),
             |_, &v| Ok(v * v),
         )
+        .and_then(PartialSweep::into_results)
         .unwrap();
 
         for shards in [1usize, 2, 4] {
@@ -1083,6 +1065,7 @@ mod tests {
                 |_, payload| payload.as_num().map(|v| v as u64),
                 |unit, _| panic!("unit {unit} should be resumed, not recomputed"),
             )
+            .and_then(PartialSweep::into_results)
             .unwrap();
             assert_eq!(resumed, reference);
             // And the merged file itself is byte-identical to the
@@ -1152,7 +1135,7 @@ mod tests {
         std::fs::write(&inputs[1], &b).unwrap();
 
         // Wrong shard count for the number of inputs.
-        let err = merge_shard_journals(&base, &inputs[..1].to_vec()).unwrap_err();
+        let err = merge_shard_journals(&base, &inputs[..1]).unwrap_err();
         assert!(err.to_string().contains("2 shards"), "{err}");
 
         // A torn tail is dropped, not fatal.
@@ -1271,6 +1254,7 @@ mod tests {
             |_, payload| payload.as_num().map(|v| v as u64),
             |unit, _| panic!("unit {unit} should be resumed"),
         )
+        .and_then(PartialSweep::into_results)
         .unwrap();
         assert_eq!(resumed, items.iter().map(|v| v * v).collect::<Vec<_>>());
         for input in inputs {

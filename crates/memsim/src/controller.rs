@@ -371,7 +371,6 @@ impl MemorySimulator {
     /// possible (an over-tight IR constraint), with a snapshot of the
     /// blocking state.
     pub fn run(&self, requests: &[ReadRequest]) -> Result<SimStats, SimulateError> {
-        #[cfg(feature = "telemetry")]
         let _span = pi3d_telemetry::span::span("memsim_run");
         let t = &self.timing;
         let cfg = &self.config;
@@ -482,9 +481,7 @@ impl MemorySimulator {
         // sampled at block boundaries. Individual events are far too
         // fine to trace one-by-one; when tracing is off this costs one
         // integer modulo per event.
-        #[cfg(feature = "telemetry")]
         const EVENT_TRACE_BLOCK: u64 = 8192;
-        #[cfg(feature = "telemetry")]
         let mut _event_block = pi3d_telemetry::trace::span_with("memsim", || {
             format!("events[0..{EVENT_TRACE_BLOCK})")
         });
@@ -495,7 +492,6 @@ impl MemorySimulator {
             // compare and atomic load are noise). Both exits carry the
             // statistics accumulated so far.
             if cfg.max_cycles > 0 && cycle >= cfg.max_cycles {
-                #[cfg(feature = "telemetry")]
                 pi3d_telemetry::metrics::counter("memsim.cycle_budget_exceeded").incr(1);
                 return Err(SimulateError::CycleBudgetExceeded {
                     cycle,
@@ -522,7 +518,6 @@ impl MemorySimulator {
                 .as_ref()
                 .is_some_and(pi3d_telemetry::CancelToken::is_cancelled)
             {
-                #[cfg(feature = "telemetry")]
                 pi3d_telemetry::metrics::counter("memsim.cancelled").incr(1);
                 return Err(SimulateError::Cancelled {
                     cycle,
@@ -544,7 +539,6 @@ impl MemorySimulator {
                 });
             }
             simulated_cycles += 1;
-            #[cfg(feature = "telemetry")]
             if simulated_cycles.is_multiple_of(EVENT_TRACE_BLOCK) {
                 use pi3d_telemetry::trace;
                 // End the finished block before opening its successor so
@@ -626,7 +620,6 @@ impl MemorySimulator {
                         refreshes += 1;
                         last_progress_cycle = cycle;
                         changed = true;
-                        #[cfg(feature = "telemetry")]
                         pi3d_telemetry::trace::instant("memsim", "refresh");
                     }
                 }
@@ -1018,7 +1011,6 @@ impl MemorySimulator {
             stall_cycles,
             max_ir,
         );
-        #[cfg(feature = "telemetry")]
         {
             use pi3d_telemetry::{metrics, report};
             metrics::counter("memsim.runs").incr(1);
@@ -1051,8 +1043,6 @@ impl MemorySimulator {
                 stats.max_ir.value()
             );
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = (simulated_cycles, skipped_cycles, cache.hits, cache.misses);
         Ok(stats)
     }
 

@@ -280,6 +280,7 @@ pub fn parse_trace(text: &str) -> Result<Vec<ReadRequest>, ParseTraceError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod trace_tests {
     use super::*;
 

@@ -175,9 +175,7 @@ impl IrAnalysis {
         io_activity: f64,
         op: pi3d_layout::OpKind,
     ) -> Result<IrDropReport, SolverError> {
-        #[cfg(feature = "telemetry")]
         let _span = pi3d_telemetry::span::span("ir_analysis");
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("mesh.ir_analyses").incr(1);
         let v = self.mesh.solve_op(state, io_activity, op)?;
         Ok(self.summarize(state, io_activity, v))
@@ -201,9 +199,7 @@ impl IrAnalysis {
         cases: &[(MemoryState, f64)],
         op: pi3d_layout::OpKind,
     ) -> Result<Vec<IrDropReport>, SolverError> {
-        #[cfg(feature = "telemetry")]
         let _span = pi3d_telemetry::span::span("ir_analysis_batch");
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("mesh.ir_analyses").incr(cases.len() as u64);
         let solutions = self.mesh.solve_batch_op(cases, op)?;
         Ok(cases

@@ -286,16 +286,13 @@ impl StackMesh {
     /// or an invalid stamp — the latter indicate an internal topology bug
     /// rather than a user error.
     pub fn new(design: &StackDesign, options: MeshOptions) -> Result<Self, MeshError> {
-        #[cfg(feature = "telemetry")]
         let _build_span = pi3d_telemetry::span::span("mesh_build");
         let mut builder = MeshAssembler::new(design, &options);
         {
-            #[cfg(feature = "telemetry")]
             let _stamp_span = pi3d_telemetry::span::span("stamping");
             builder.assemble();
         }
         let fault_report = builder.faults.as_ref().map(FaultInjector::report);
-        #[cfg(feature = "telemetry")]
         if let Some(r) = fault_report {
             use pi3d_telemetry::metrics;
             metrics::counter("faults.injected.tsv_open").incr(r.tsv_opens as u64);
@@ -310,16 +307,13 @@ impl StackMesh {
             );
         }
         let matrix = {
-            #[cfg(feature = "telemetry")]
             let _csr_span = pi3d_telemetry::span::span("csr_assembly");
             std::mem::take(&mut builder.coo).into_csr()?
         };
         {
-            #[cfg(feature = "telemetry")]
             let _audit_span = pi3d_telemetry::span::span("connectivity_audit");
             let (islanded, islands) = audit_connectivity(&matrix, &builder.supply_nodes);
             let islanded_count = islanded.iter().filter(|&&i| i).count();
-            #[cfg(feature = "telemetry")]
             pi3d_telemetry::metrics::gauge("mesh.islanded_nodes").set(islanded_count as f64);
             if islanded_count > 0 {
                 return Err(MeshError::DegradedSupply(Box::new(degradation_report(
@@ -330,7 +324,6 @@ impl StackMesh {
                 ))));
             }
         }
-        #[cfg(feature = "telemetry")]
         {
             use pi3d_telemetry::{metrics, report};
             let nodes = builder.registry.total_nodes();
@@ -354,7 +347,6 @@ impl StackMesh {
             );
         }
         let prepared = {
-            #[cfg(feature = "telemetry")]
             let _factor_span = pi3d_telemetry::span::span("mesh_factor");
             // Hand the solver the per-sheet grid geometry: it extracts a
             // matrix-free stencil operator for the SpMV hot loop and feeds
@@ -542,12 +534,10 @@ impl StackMesh {
         io_activity: f64,
         op: pi3d_layout::OpKind,
     ) -> Result<Arc<Vec<f64>>, SolverError> {
-        #[cfg(feature = "telemetry")]
         let _solve_span = pi3d_telemetry::span::span("mesh_solve");
         let loads = self.load_vector_op(state, io_activity, op);
         let key = WarmStartCache::key(state);
         let guess = self.warm_cache.nearest(&key).map(Arc::clone);
-        #[cfg(feature = "telemetry")]
         if guess.is_some() {
             pi3d_telemetry::metrics::counter("mesh.warm_cache.hits").incr(1);
         }
@@ -595,7 +585,6 @@ impl StackMesh {
         cases: &[(MemoryState, f64)],
         op: pi3d_layout::OpKind,
     ) -> Result<Vec<Arc<Vec<f64>>>, SolverError> {
-        #[cfg(feature = "telemetry")]
         let _span = pi3d_telemetry::span::span("mesh_solve_batch");
         let loads: Vec<Vec<f64>> = cases
             .iter()

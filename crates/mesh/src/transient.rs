@@ -136,7 +136,6 @@ pub fn run_transient(
     options: TransientOptions,
     state: &MemoryState,
 ) -> Result<TransientResult, MeshError> {
-    #[cfg(feature = "telemetry")]
     let _span = pi3d_telemetry::span::span("transient");
     let mut mesh = StackMesh::new(design, mesh_options)?;
     let n = mesh.node_count();
@@ -202,9 +201,7 @@ pub fn run_transient(
     let mut peak = 0.0f64;
     let on_steps = (options.burst_period as f64 * options.duty).round() as usize;
 
-    #[cfg(feature = "telemetry")]
     let _steps_span = pi3d_telemetry::span::span("time_stepping");
-    #[cfg(feature = "telemetry")]
     pi3d_telemetry::metrics::counter("mesh.transient_steps").incr(options.steps as u64);
     for step in 0..options.steps {
         let bursting = step % options.burst_period < on_steps;

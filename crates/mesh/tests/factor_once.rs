@@ -4,8 +4,6 @@
 //! This file deliberately holds a single test so the global telemetry
 //! registry sees no concurrent writers from sibling tests in this binary.
 
-#![cfg(feature = "telemetry")]
-
 use pi3d_layout::{Benchmark, MemoryState, StackDesign};
 use pi3d_mesh::{MeshOptions, StackMesh};
 use pi3d_telemetry::metrics;

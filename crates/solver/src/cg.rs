@@ -11,7 +11,6 @@ const DEADLINE_POLL_STRIDE: usize = 16;
 /// Iterations per flight-recorder trace slice: individual CG iterations
 /// are too fine to trace one-by-one, so the iteration loop emits one
 /// `cg_iters[a..b)` slice (plus a `cg_relres` counter sample) per block.
-#[cfg(feature = "telemetry")]
 const CG_TRACE_BLOCK: usize = 64;
 
 /// Result of a successful conjugate-gradient solve.
@@ -23,12 +22,12 @@ pub struct CgSolution {
     pub iterations: usize,
     /// Final relative residual `‖b − A·x‖₂ / ‖b‖₂`.
     pub relative_residual: f64,
-    /// Relative residual after each iteration (empty when the crate's
-    /// `telemetry` feature is disabled).
+    /// Relative residual after each iteration: the starting residual
+    /// alone when the initial guess already meets the tolerance, empty
+    /// when `b` is zero or the solve stopped before its first iteration.
     pub residual_trace: Vec<f64>,
 }
 
-#[cfg(feature = "telemetry")]
 fn record_solve(iterations: usize, relres: f64, trace: &[f64]) {
     use pi3d_telemetry::{metrics, report};
     metrics::counter("solver.cg.solves").incr(1);
@@ -172,7 +171,6 @@ impl CgSolver {
         preconditioner: Preconditioner,
     ) -> Result<CgSolution, SolverError> {
         let m = {
-            #[cfg(feature = "telemetry")]
             let _precond_span = pi3d_telemetry::span::span("precond_setup");
             AppliedPreconditioner::build(preconditioner, a)?
         };
@@ -217,7 +215,6 @@ impl CgSolver {
             }
         }
 
-        #[cfg(feature = "telemetry")]
         let _solve_span = pi3d_telemetry::span::span("cg_solve");
 
         // Fail fast when the budget already expired: batch callers drain
@@ -247,7 +244,6 @@ impl CgSolver {
         }
         let mut z = vec![0.0; n];
         {
-            #[cfg(feature = "telemetry")]
             let _apply_slice = pi3d_telemetry::trace::span("solver", "precond_apply");
             m.apply(&r, &mut z);
         }
@@ -257,17 +253,12 @@ impl CgSolver {
 
         // Pre-sized to a typical preconditioned iteration count so the
         // per-iteration push below does not reallocate on the hot path.
-        #[cfg_attr(not(feature = "telemetry"), allow(unused_mut))]
-        let mut residual_trace: Vec<f64> =
-            Vec::with_capacity(if cfg!(feature = "telemetry") { 128 } else { 0 });
+        let mut residual_trace: Vec<f64> = Vec::with_capacity(128);
 
         let mut relres = vecops::norm2(&r) / norm_b;
         if relres <= self.tolerance {
-            #[cfg(feature = "telemetry")]
-            {
-                residual_trace.push(relres);
-                record_solve(0, relres, &residual_trace);
-            }
+            residual_trace.push(relres);
+            record_solve(0, relres, &residual_trace);
             return Ok(CgSolution {
                 x,
                 iterations: 0,
@@ -276,15 +267,12 @@ impl CgSolver {
             });
         }
 
-        #[cfg(feature = "telemetry")]
         let _iter_span = pi3d_telemetry::span::span("cg_iterations");
-        #[cfg(feature = "telemetry")]
         let mut _iter_block = pi3d_telemetry::trace::span_with("solver", || {
             format!("cg_iters[1..{})", 1 + CG_TRACE_BLOCK)
         });
 
         for iter in 1..=self.max_iterations {
-            #[cfg(feature = "telemetry")]
             if iter > 1 && (iter - 1) % CG_TRACE_BLOCK == 0 {
                 // Close the finished block before opening the next so
                 // sibling slices never overlap in the trace.
@@ -325,10 +313,8 @@ impl CgSolver {
             vecops::axpy(-alpha, &ap, &mut r);
 
             relres = vecops::norm2(&r) / norm_b;
-            #[cfg(feature = "telemetry")]
             residual_trace.push(relres);
             if relres <= self.tolerance {
-                #[cfg(feature = "telemetry")]
                 record_solve(iter, relres, &residual_trace);
                 return Ok(CgSolution {
                     x,
@@ -339,7 +325,6 @@ impl CgSolver {
             }
 
             {
-                #[cfg(feature = "telemetry")]
                 let _apply_slice = pi3d_telemetry::trace::span("solver", "precond_apply");
                 m.apply(&r, &mut z);
             }
@@ -349,15 +334,12 @@ impl CgSolver {
             vecops::xpby(&z, beta, &mut p);
         }
 
-        #[cfg(feature = "telemetry")]
-        {
-            pi3d_telemetry::metrics::counter("solver.cg.failures").incr(1);
-            pi3d_telemetry::warn!(
-                "cg failed to converge: {} iterations, relres {relres:.3e} > tol {:.1e}",
-                self.max_iterations,
-                self.tolerance
-            );
-        }
+        pi3d_telemetry::metrics::counter("solver.cg.failures").incr(1);
+        pi3d_telemetry::warn!(
+            "cg failed to converge: {} iterations, relres {relres:.3e} > tol {:.1e}",
+            self.max_iterations,
+            self.tolerance
+        );
         // The final iterate is still the best available approximation;
         // hand it back so callers can warm-start a retry or fall back to
         // a direct solve instead of discarding the work.
@@ -383,7 +365,6 @@ fn interruption_error(
     residual: f64,
     residual_trace: Vec<f64>,
 ) -> SolverError {
-    #[cfg(feature = "telemetry")]
     pi3d_telemetry::metrics::counter(match kind {
         Interruption::Cancelled => "solver.cg.cancelled",
         Interruption::DeadlineExceeded => "solver.cg.deadline_exceeded",
@@ -569,7 +550,6 @@ mod tests {
         assert_eq!(partial.x.len(), 256);
         assert!(partial.x.iter().any(|&v| v != 0.0));
         assert_eq!(partial.iterations, 2);
-        #[cfg(feature = "telemetry")]
         assert_eq!(partial.residual_trace.len(), 2);
     }
 

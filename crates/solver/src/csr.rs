@@ -266,15 +266,12 @@ impl CsrMatrix {
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.dim);
         assert_eq!(y.len(), self.dim);
-        #[cfg(feature = "telemetry")]
-        {
-            // One relaxed atomic add per spmv; negligible next to the
-            // O(nnz) loop below.
-            static SPMV: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
-                std::sync::OnceLock::new();
-            SPMV.get_or_init(|| pi3d_telemetry::metrics::counter("solver.csr.spmv"))
-                .incr(1);
-        }
+        // One relaxed atomic add per spmv; negligible next to the
+        // O(nnz) loop below.
+        static SPMV: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
+            std::sync::OnceLock::new();
+        SPMV.get_or_init(|| pi3d_telemetry::metrics::counter("solver.csr.spmv"))
+            .incr(1);
         for (r, out) in y.iter_mut().enumerate() {
             let mut acc = 0.0;
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {

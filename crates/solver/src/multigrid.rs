@@ -368,17 +368,14 @@ impl Multigrid {
             cur_grids = coarse_grids;
         };
 
-        #[cfg(feature = "telemetry")]
-        {
-            pi3d_telemetry::metrics::counter("solver.mg.builds").incr(1);
-            pi3d_telemetry::metrics::gauge("solver.mg.levels").set((levels.len() + 1) as f64);
-            pi3d_telemetry::metrics::gauge("solver.mg.coarse_dim").set(coarse.dim() as f64);
-            pi3d_telemetry::debug!(
-                "multigrid hierarchy: {} levels, coarse dim {}",
-                levels.len() + 1,
-                coarse.dim()
-            );
-        }
+        pi3d_telemetry::metrics::counter("solver.mg.builds").incr(1);
+        pi3d_telemetry::metrics::gauge("solver.mg.levels").set((levels.len() + 1) as f64);
+        pi3d_telemetry::metrics::gauge("solver.mg.coarse_dim").set(coarse.dim() as f64);
+        pi3d_telemetry::debug!(
+            "multigrid hierarchy: {} levels, coarse dim {}",
+            levels.len() + 1,
+            coarse.dim()
+        );
 
         Ok(Multigrid {
             dim,
@@ -430,17 +427,12 @@ impl Multigrid {
         assert_eq!(r.len(), self.dim);
         assert_eq!(z.len(), self.dim);
         let total = self.cycles.fetch_add(1, Ordering::Relaxed) + 1;
-        #[cfg(feature = "telemetry")]
-        {
-            static CYCLES: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
-                std::sync::OnceLock::new();
-            CYCLES
-                .get_or_init(|| pi3d_telemetry::metrics::counter("solver.mg.cycles"))
-                .incr(1);
-            pi3d_telemetry::trace::counter("solver", "mg.cycles", total as f64);
-        }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = total;
+        static CYCLES: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
+            std::sync::OnceLock::new();
+        CYCLES
+            .get_or_init(|| pi3d_telemetry::metrics::counter("solver.mg.cycles"))
+            .incr(1);
+        pi3d_telemetry::trace::counter("solver", "mg.cycles", total as f64);
         let mut ws = {
             let mut pool = self.workspaces.lock().unwrap_or_else(|e| e.into_inner());
             pool.pop().unwrap_or_else(|| self.new_workspace())
@@ -454,7 +446,6 @@ impl Multigrid {
         let Some(level) = self.levels.get(k) else {
             // Coarsest level: direct dense solve. Dimensions match by
             // construction, so the factor cannot fail here.
-            #[cfg(feature = "telemetry")]
             let _span = pi3d_telemetry::trace::span("mg", "mg:coarse:solve");
             z.copy_from_slice(r);
             self.coarse
@@ -469,7 +460,6 @@ impl Multigrid {
         // Pre-smooth from a zero guess: z = M⁻¹·r (no operator apply
         // needed), then form the residual the coarse grid will correct.
         {
-            #[cfg(feature = "telemetry")]
             let _span = pi3d_telemetry::trace::span_with("mg", || format!("mg:level{k}:smooth"));
             level.smoother.apply(r, z);
             level.op.apply(z, &mut buf.tmp);
@@ -480,7 +470,6 @@ impl Multigrid {
 
         // Restrict the residual (full weighting, Pᵀ scatter).
         {
-            #[cfg(feature = "telemetry")]
             let _span = pi3d_telemetry::trace::span_with("mg", || format!("mg:level{k}:restrict"));
             buf.rc.fill(0.0);
             for i in 0..r.len() {
@@ -495,7 +484,6 @@ impl Multigrid {
 
         // Prolong the coarse correction back up.
         {
-            #[cfg(feature = "telemetry")]
             let _span = pi3d_telemetry::trace::span_with("mg", || format!("mg:level{k}:prolong"));
             for i in 0..r.len() {
                 let mut acc = 0.0;
@@ -509,7 +497,6 @@ impl Multigrid {
         // Symmetric post-smooth: z += M⁻¹·(r − A·z), the same smoother
         // as the pre-sweep so the V-cycle stays a symmetric operator.
         {
-            #[cfg(feature = "telemetry")]
             let _span = pi3d_telemetry::trace::span_with("mg", || format!("mg:level{k}:smooth"));
             level.op.apply(z, &mut buf.tmp);
             for i in 0..r.len() {

@@ -91,11 +91,8 @@ impl AppliedPreconditioner {
         grids: &[StencilGrid],
         stencil: Option<&Arc<StencilOperator>>,
     ) -> Result<Self, SolverError> {
-        #[cfg(feature = "telemetry")]
-        {
-            pi3d_telemetry::metrics::counter("solver.precond.builds").incr(1);
-            pi3d_telemetry::trace!("building {kind:?} preconditioner for n={}", a.dim());
-        }
+        pi3d_telemetry::metrics::counter("solver.precond.builds").incr(1);
+        pi3d_telemetry::trace!("building {kind:?} preconditioner for n={}", a.dim());
         match kind {
             Preconditioner::Identity => Ok(AppliedPreconditioner::Identity),
             Preconditioner::Jacobi => Ok(AppliedPreconditioner::Jacobi(JacobiScaling::new(a)?)),

@@ -125,7 +125,6 @@ impl PreparedSystem {
         } else {
             StencilOperator::from_csr(&matrix, grids).map(Arc::new)
         };
-        #[cfg(feature = "telemetry")]
         if let Some(s) = &stencil {
             pi3d_telemetry::metrics::counter("solver.stencil.extracted").incr(1);
             pi3d_telemetry::debug!(
@@ -135,7 +134,6 @@ impl PreparedSystem {
             );
         }
         let applied = {
-            #[cfg(feature = "telemetry")]
             let _span = pi3d_telemetry::span::span("precond_setup");
             AppliedPreconditioner::build_with_geometry(
                 preconditioner,
@@ -144,7 +142,6 @@ impl PreparedSystem {
                 stencil.as_ref(),
             )?
         };
-        #[cfg(feature = "telemetry")]
         pi3d_telemetry::metrics::counter("solver.prepared.builds").incr(1);
         Ok(PreparedSystem {
             matrix,
@@ -269,7 +266,6 @@ impl PreparedSystem {
     /// `rhs`, keeping the failed CG run's residual trace (with the final
     /// direct residual appended) so diagnostics survive the recovery.
     fn dense_rescue(&self, rhs: &[f64], partial: CgSolution) -> Result<CgSolution, SolverError> {
-        #[cfg(feature = "telemetry")]
         let _span = pi3d_telemetry::span::span("dense_fallback");
         let x = DenseMatrix::from_csr(&self.matrix).cholesky()?.solve(rhs)?;
         let mut residual = vec![0.0; x.len()];
@@ -283,13 +279,10 @@ impl PreparedSystem {
         } else {
             0.0
         };
-        #[cfg(feature = "telemetry")]
-        {
-            pi3d_telemetry::metrics::counter("solver.recovered.dense_fallback").incr(1);
-            pi3d_telemetry::debug!(
-                "dense fallback rescued a non-converged CG solve: relres {relres:.3e}"
-            );
-        }
+        pi3d_telemetry::metrics::counter("solver.recovered.dense_fallback").incr(1);
+        pi3d_telemetry::debug!(
+            "dense fallback rescued a non-converged CG solve: relres {relres:.3e}"
+        );
         let mut residual_trace = partial.residual_trace;
         residual_trace.push(relres);
         Ok(CgSolution {
@@ -321,7 +314,6 @@ impl PreparedSystem {
     /// [`threads`](Self::threads) members run at once. Results are in
     /// input order and bit-identical for every thread count.
     pub fn solve_each(&self, rhs_batch: &[Vec<f64>]) -> Vec<Result<CgSolution, SolverError>> {
-        #[cfg(feature = "telemetry")]
         {
             let _span = pi3d_telemetry::span::span("solve_batch");
             pi3d_telemetry::metrics::counter("solver.prepared.batches").incr(1);
@@ -332,10 +324,7 @@ impl PreparedSystem {
         parallel_map(rhs_batch, self.threads, |index, rhs| {
             // One trace slice per right-hand side, so the batch fan-out
             // renders as per-worker timelines in the flight recorder.
-            #[cfg(feature = "telemetry")]
             let _rhs_slice = pi3d_telemetry::trace::span_with("solver", || format!("rhs[{index}]"));
-            #[cfg(not(feature = "telemetry"))]
-            let _ = index;
             self.solve_one(rhs, None)
         })
     }
@@ -345,26 +334,20 @@ impl PreparedSystem {
         self.matrix
     }
 
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
     fn record_solve(&self, count: u64) {
+        use pi3d_telemetry::metrics;
         let before = self.solves.fetch_add(count, Ordering::Relaxed);
-        #[cfg(feature = "telemetry")]
-        {
-            use pi3d_telemetry::metrics;
-            metrics::counter("solver.prepared.solves").incr(count);
-            // Every solve after the first on this handle would have paid a
-            // preconditioner build under the per-call API.
-            let avoided = if before == 0 {
-                count.saturating_sub(1)
-            } else {
-                count
-            };
-            if avoided > 0 {
-                metrics::counter("solver.prepared.factorizations_avoided").incr(avoided);
-            }
+        metrics::counter("solver.prepared.solves").incr(count);
+        // Every solve after the first on this handle would have paid a
+        // preconditioner build under the per-call API.
+        let avoided = if before == 0 {
+            count.saturating_sub(1)
+        } else {
+            count
+        };
+        if avoided > 0 {
+            metrics::counter("solver.prepared.factorizations_avoided").incr(avoided);
         }
-        #[cfg(not(feature = "telemetry"))]
-        let _ = before;
     }
 }
 
@@ -497,7 +480,6 @@ mod tests {
         for (got, want) in sol.x.iter().zip(&reference.x) {
             assert!((got - want).abs() < 1e-8, "{got} vs {want}");
         }
-        #[cfg(feature = "telemetry")]
         assert!(
             !sol.residual_trace.is_empty(),
             "CG trace must survive the rescue"

@@ -270,13 +270,10 @@ impl Operator for StencilOperator {
     fn apply_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.dim);
         assert_eq!(y.len(), self.dim);
-        #[cfg(feature = "telemetry")]
-        {
-            static SPMV: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
-                std::sync::OnceLock::new();
-            SPMV.get_or_init(|| pi3d_telemetry::metrics::counter("solver.stencil.spmv"))
-                .incr(1);
-        }
+        static SPMV: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
+            std::sync::OnceLock::new();
+        SPMV.get_or_init(|| pi3d_telemetry::metrics::counter("solver.stencil.spmv"))
+            .incr(1);
         // Per row, the in-grid stencil columns (`r−nx, r−1, r, r+1, r+nx`,
         // already ascending) all lie inside the row's grid while extras
         // lie strictly outside it, so the CSR row's ascending-column order

@@ -5,8 +5,6 @@
 //! This file deliberately holds a single test so the global telemetry
 //! registry sees no concurrent writers from sibling tests in this binary.
 
-#![cfg(feature = "telemetry")]
-
 use pi3d_solver::{CooBuilder, Preconditioner, PreparedSystem};
 use pi3d_telemetry::metrics;
 

@@ -7,8 +7,6 @@
 //! registry are process-global, and integration-test files each get
 //! their own process, so nothing else races the recorder here.
 
-#![cfg(feature = "telemetry")]
-
 use pi3d_solver::{CgSolver, CooBuilder, Preconditioner, PreparedSystem, StencilGrid};
 use pi3d_telemetry::{metrics, trace, Json};
 

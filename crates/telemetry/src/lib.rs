@@ -24,9 +24,13 @@
 //!   progress (done/total, rate, ETA, unit p50/p95), and [`mem`]
 //!   contributes best-effort peak-RSS gauges from `/proc`.
 //!
-//! Downstream crates instrument behind their own `telemetry` cargo
-//! feature (on by default); with the feature off, call sites compile to
-//! nothing, so the Fig. 4 speedup numbers stay honest.
+//! Instrumentation is always compiled in: downstream crates call it
+//! unconditionally, so the one build that ships is the one that is
+//! tested and benchmarked. What it records is chosen at run time. Log
+//! lines below the level threshold, flight-recorder slices while tracing
+//! is off, and the progress heartbeat while no mode is set each cost one
+//! atomic load. Counters, gauges, histograms, and spans always record —
+//! one relaxed atomic op per event, plus a clock read per span.
 //!
 //! The crate also hosts substrate utilities that want the same
 //! "everything already depends on it" home: [`rng`], a seeded SplitMix64

@@ -6,8 +6,6 @@
 //! Everything lives in one `#[test]` because the telemetry registry is
 //! process-global; parallel test threads would interleave their metrics.
 
-#![cfg(feature = "telemetry")]
-
 use pi3d::layout::units::MilliVolts;
 use pi3d::layout::{Benchmark, MemoryState, StackDesign};
 use pi3d::memsim::{MemorySimulator, ReadPolicy, SimConfig, TimingParams, WorkloadSpec};
