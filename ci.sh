@@ -35,6 +35,25 @@ done
 rm -f "$chaos_log"
 echo "serve_chaos OK: 20 runs"
 
+echo "==> paper tables vs tables_output.txt (wall-clock lines dropped)"
+# EXPERIMENTS.md quotes tables_output.txt, so a change that moves any
+# printed number must regenerate both. Only the timing lines may differ:
+# each section's "(<name> finished in ...)" line and fig4's "runtime".
+tables_dir="$(mktemp -d /tmp/pi3d-tables.XXXXXX)"
+trap 'rm -rf "$tables_dir"' EXIT
+./target/release/tables --threads 2 > "$tables_dir/now.txt"
+drop_clock='^\(.* finished in .*\)$|^  runtime +:'
+grep -Ev "$drop_clock" tables_output.txt > "$tables_dir/want.txt"
+grep -Ev "$drop_clock" "$tables_dir/now.txt" > "$tables_dir/got.txt"
+if ! diff -u "$tables_dir/want.txt" "$tables_dir/got.txt"; then
+    echo "FAIL: tables output differs from tables_output.txt; regenerate it" \
+        "and the EXPERIMENTS.md rows that quote it" >&2
+    exit 1
+fi
+tables_lines=$(wc -l < "$tables_dir/got.txt")
+rm -rf "$tables_dir"
+echo "tables OK: $tables_lines lines match tables_output.txt"
+
 echo "==> CLI smoke run with --metrics-out"
 report="$(mktemp /tmp/pi3d-report.XXXXXX.json)"
 cfg="$(mktemp /tmp/pi3d-design.XXXXXX.cfg)"

@@ -17,7 +17,7 @@ fn bench(c: &mut Harness) {
     group.sample_size(10);
 
     group.bench_function("supply_noise_vdd_vss", |b| {
-        let mut analysis = SupplyNoiseAnalysis::new(&design, bench_mesh_options()).expect("builds");
+        let analysis = SupplyNoiseAnalysis::new(&design, bench_mesh_options()).expect("builds");
         b.iter(|| analysis.run(&state, 1.0).expect("solves"))
     });
 
@@ -38,7 +38,7 @@ fn bench(c: &mut Harness) {
         })
     });
 
-    let mut mesh = StackMesh::new(&design, bench_mesh_options()).expect("builds");
+    let mesh = StackMesh::new(&design, bench_mesh_options()).expect("builds");
     let drops = mesh.solve(&state, 1.0).expect("solves");
     group.bench_function("current_report", |b| {
         b.iter(|| CurrentReport::compute(&mesh, &drops))

@@ -18,13 +18,13 @@ fn bench(c: &mut Harness) {
     group.sample_size(10);
     group.bench_function("lut_build_81_states", |b| {
         b.iter(|| {
-            let mut eval = platform.evaluate(&design).expect("design evaluates");
-            build_ir_lut(&mut eval, 2).expect("LUT builds")
+            let eval = platform.evaluate(&design).expect("design evaluates");
+            build_ir_lut(&eval, 2).expect("LUT builds")
         })
     });
 
-    let mut eval = platform.evaluate(&design).expect("design evaluates");
-    let lut = build_ir_lut(&mut eval, 2).expect("LUT builds");
+    let eval = platform.evaluate(&design).expect("design evaluates");
+    let lut = build_ir_lut(&eval, 2).expect("LUT builds");
     let requests = bench_workload().generate();
     group.bench_function("constraint_sweep_one_case", |b| {
         b.iter(|| {

@@ -89,8 +89,8 @@ fn batch_lut(design: &StackDesign, threads: usize) -> IrDropLut {
         threads,
         ..MeshOptions::coarse()
     });
-    let mut eval = platform.evaluate(design).expect("valid design");
-    build_ir_lut(&mut eval, MAX_BANKS_PER_DIE).expect("lut builds")
+    let eval = platform.evaluate(design).expect("valid design");
+    build_ir_lut(&eval, MAX_BANKS_PER_DIE).expect("lut builds")
 }
 
 fn bench(c: &mut Harness) {

@@ -68,9 +68,9 @@ fn main() {
 
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
     let platform = Platform::new(MeshOptions::coarse());
-    let mut eval = platform.evaluate(&design).expect("valid design");
+    let eval = platform.evaluate(&design).expect("valid design");
     let lut: IrDropLut =
-        build_ir_lut(&mut eval, SimConfig::paper_ddr3().max_powered_per_die).expect("lut builds");
+        build_ir_lut(&eval, SimConfig::paper_ddr3().max_powered_per_die).expect("lut builds");
 
     let mut workload = WorkloadSpec::paper_ddr3();
     workload.count = REQUESTS;

@@ -11,8 +11,8 @@ use pi3d_memsim::{MemorySimulator, ReadPolicy, SimConfig, TimingParams};
 fn bench(c: &mut Harness) {
     let platform = Platform::new(bench_mesh_options());
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let mut eval = platform.evaluate(&design).expect("design evaluates");
-    let lut = build_ir_lut(&mut eval, 2).expect("LUT builds");
+    let eval = platform.evaluate(&design).expect("design evaluates");
+    let lut = build_ir_lut(&eval, 2).expect("LUT builds");
     let requests = bench_workload().generate();
 
     let mut group = c.benchmark_group("table6_policy");

@@ -83,14 +83,12 @@ use pi3d_core::jobs::{config_hash_of, fnv1a64, journaled_sweep};
 use pi3d_core::serve::{exit_code_for, sim_stats_from_json, sim_stats_to_json, status_label};
 use pi3d_core::{
     build_ir_lut, characterize_plan, characterize_shard, characterize_with, fault_sweep_plan,
-    run_fault_sweep_shard, run_fault_sweep_with, CoreError, FaultSweepOptions, JobContext,
-    Platform,
+    run_fault_sweep_shard, run_fault_sweep_with, sim_setup, CoreError, FaultSweepOptions,
+    JobContext, Platform,
 };
 use pi3d_layout::units::MilliVolts;
 use pi3d_layout::{render_design_svg, Benchmark, FaultSpec, MemoryState, StackDesign};
-use pi3d_memsim::{
-    parse_trace, IrDropLut, MemorySimulator, ReadPolicy, SimConfig, TimingParams, WorkloadSpec,
-};
+use pi3d_memsim::{parse_trace, IrDropLut, MemorySimulator, ReadPolicy, SimConfig};
 use pi3d_mesh::{
     decompose_ir, export_spice, run_transient, CurrentReport, MeshOptions, StackMesh,
     SupplyNoiseAnalysis, TransientOptions,
@@ -447,7 +445,7 @@ fn analyze(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
     if args.has("decompose") {
         let platform = Platform::new(options);
-        let mut eval = platform.evaluate(&design)?;
+        let eval = platform.evaluate(&design)?;
         let report = eval.run(&state, activity)?;
         println!("max IR   : {:.2}", report.max_dram());
         println!("per-die vertical (supply path) vs horizontal (in-die) split:");
@@ -462,14 +460,14 @@ fn analyze(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     } else if args.has("both-nets") {
-        let mut analysis = SupplyNoiseAnalysis::new(&design, options)?;
+        let analysis = SupplyNoiseAnalysis::new(&design, options)?;
         let report = analysis.run(&state, activity)?;
         println!("VDD drop : {:.2}", report.vdd.max_dram());
         println!("VSS bounce: {:.2}", report.vss.max_dram());
         println!("total    : {:.2}", report.max_total());
     } else {
         let platform = Platform::new(options);
-        let mut eval = platform.evaluate(&design)?;
+        let eval = platform.evaluate(&design)?;
         let report = eval.run(&state, activity)?;
         println!("max IR   : {:.2}", report.max_dram());
         for die in 0..design.dram_die_count() {
@@ -486,7 +484,7 @@ fn currents(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let (design, options) = load_design_and_options(args)?;
     let state = state_of(args, &design)?;
     let activity = activity_of(args)?;
-    let mut mesh = StackMesh::new(&design, options)?;
+    let mesh = StackMesh::new(&design, options)?;
     let drops = mesh.solve(&state, activity)?;
     let report = CurrentReport::compute(&mesh, &drops);
 
@@ -541,9 +539,9 @@ fn lut_command(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let (design, options) = load_design_and_options(args)?;
     let out = args.flag("out").ok_or("lut needs --out FILE")?;
     let platform = Platform::new(options);
-    let mut eval = platform.evaluate(&design)?;
+    let eval = platform.evaluate(&design)?;
     eprintln!("building IR-drop lookup table ...");
-    let lut = build_ir_lut(&mut eval, SimConfig::paper_ddr3().max_powered_per_die)?;
+    let lut = build_ir_lut(&eval, SimConfig::paper_ddr3().max_powered_per_die)?;
     atomic_write(Path::new(out), lut.to_text().as_bytes())?;
     println!("wrote {out} ({} states)", lut.state_count());
     Ok(())
@@ -588,37 +586,23 @@ fn simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         }
         None => {
             let platform = Platform::new(options.clone());
-            let mut eval = platform.evaluate(&design)?;
+            let eval = platform.evaluate(&design)?;
             eprintln!("building IR-drop lookup table ...");
-            build_ir_lut(&mut eval, SimConfig::paper_ddr3().max_powered_per_die)?
+            build_ir_lut(&eval, SimConfig::paper_ddr3().max_powered_per_die)?
         }
     };
 
-    // Timing and channel structure follow the benchmark.
-    let spec = design.benchmark().spec();
-    let timing = match design.benchmark() {
-        pi3d_layout::Benchmark::WideIo => TimingParams::wide_io_200(),
-        pi3d_layout::Benchmark::Hmc => TimingParams::hmc_2500(),
-        _ => TimingParams::ddr3_1600(),
-    };
+    let (timing, mut sim_config, mut workload) = sim_setup(&design);
     let requests = match args.flag("trace") {
         Some(path) => {
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             parse_trace(&text)?
         }
         None => {
-            let mut workload = WorkloadSpec::paper_ddr3();
             workload.count = reads;
-            workload.dies = design.dram_die_count();
-            workload.banks_per_die = design.banks_per_die();
-            workload.channels = spec.channels;
             workload.generate()
         }
     };
-    let mut sim_config = SimConfig::paper_ddr3();
-    sim_config.dies = design.dram_die_count();
-    sim_config.banks_per_die = design.banks_per_die();
-    sim_config.channels = spec.channels;
     if let Some(mc) = args.flag("max-cycles") {
         sim_config.max_cycles = mc
             .parse()

@@ -204,6 +204,35 @@ fn lut_roundtrip_feeds_simulate() {
     assert!(stdout.contains("max IR"), "{stdout}");
 }
 
+/// The fault sweep's policy stage sizes its simulator from the design,
+/// so a stack with a non-default die count runs its policies against
+/// that stack's own LUT.
+#[test]
+fn faults_policies_run_on_a_two_die_stack() {
+    let cfg = write_config("two-die.cfg", "benchmark = ddr3-off\ndram_dies = 2\n");
+    let out = pi3d(&[
+        "faults",
+        cfg.to_str().unwrap(),
+        "--trials",
+        "2",
+        "--levels",
+        "1.0",
+        "--grid",
+        "8",
+        "--reads",
+        "200",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    for policy in ["standard", "ir_fcfs", "ir_distr"] {
+        assert!(
+            stdout.lines().any(|l| l.starts_with(policy)),
+            "no {policy} row: {stdout}"
+        );
+    }
+}
+
 /// `--trace-out` + `--progress` on a small fault sweep must produce a
 /// Chrome trace with the sweep phase, per-unit work slices on worker
 /// threads, and a progress heartbeat on stderr — then `pi3d trace` must

@@ -55,7 +55,7 @@ pub fn run(options: &MeshOptions) -> Result<Calibration, CoreError> {
         .dram_dies(1)
         .build()?;
     let platform = Platform::new(options.clone());
-    let mut eval = platform.evaluate(&design)?;
+    let eval = platform.evaluate(&design)?;
     let state = MemoryState::new(vec![DieState::active(2)]);
 
     let read = eval.run_op(&state, 1.0, OpKind::Read)?;

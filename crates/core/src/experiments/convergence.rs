@@ -82,7 +82,7 @@ pub fn run(grids: &[usize]) -> Result<Convergence, CoreError> {
             ..MeshOptions::default()
         };
         let platform = Platform::new(options);
-        let mut eval = platform.evaluate(&design)?;
+        let eval = platform.evaluate(&design)?;
         let report = eval.run(&state, 1.0)?;
         rows.push(ConvergenceRow {
             grid,

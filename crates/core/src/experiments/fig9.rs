@@ -99,9 +99,9 @@ pub fn run_with(
     let mut luts = Vec::new();
     for case in &cases {
         let design = case.build()?;
-        let mut eval = platform.evaluate(&design)?;
+        let eval = platform.evaluate(&design)?;
         luts.push(build_ir_lut(
-            &mut eval,
+            &eval,
             SimConfig::paper_ddr3().max_powered_per_die,
         )?);
     }

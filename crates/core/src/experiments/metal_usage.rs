@@ -66,7 +66,7 @@ pub fn run(options: &MeshOptions) -> Result<MetalUsage, CoreError> {
         let design = StackDesign::builder(Benchmark::StackedDdr3OffChip)
             .pdn(PdnSpec::baseline().scaled(scale))
             .build()?;
-        let mut eval = platform.evaluate(&design)?;
+        let eval = platform.evaluate(&design)?;
         let ir = eval.max_ir(&state, 1.0)?;
         rows.push(MetalUsageRow {
             scale,

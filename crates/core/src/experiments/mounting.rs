@@ -51,7 +51,7 @@ pub fn run(options: &MeshOptions) -> Result<MountingStudy, CoreError> {
     let state: MemoryState = "0-0-0-2".parse().expect("literal state");
 
     let off = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let mut off_eval = platform.evaluate(&off)?;
+    let off_eval = platform.evaluate(&off)?;
     let off_chip_mv = off_eval.max_ir(&state, 1.0)?.value();
 
     let on = StackDesign::builder(Benchmark::StackedDdr3OnChip)
@@ -59,7 +59,7 @@ pub fn run(options: &MeshOptions) -> Result<MountingStudy, CoreError> {
             dedicated_tsvs: false,
         })
         .build()?;
-    let mut on_eval = platform.evaluate(&on)?;
+    let on_eval = platform.evaluate(&on)?;
     let report = on_eval.run(&state, 1.0)?;
 
     Ok(MountingStudy {

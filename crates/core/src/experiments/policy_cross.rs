@@ -5,11 +5,11 @@
 
 use crate::error::CoreError;
 use crate::lut_builder::build_ir_lut;
-use crate::platform::Platform;
+use crate::platform::{sim_setup, Platform};
 use crate::report::{mv, pct, TextTable};
 use pi3d_layout::units::MilliVolts;
 use pi3d_layout::{Benchmark, StackDesign};
-use pi3d_memsim::{MemorySimulator, ReadPolicy, SimConfig, TimingParams, WorkloadSpec};
+use pi3d_memsim::{MemorySimulator, ReadPolicy, SimConfig};
 use pi3d_mesh::MeshOptions;
 use pi3d_telemetry::par::parallel_map;
 use std::fmt;
@@ -70,25 +70,6 @@ impl fmt::Display for PolicyCross {
     }
 }
 
-/// Benchmark-specific simulation structure.
-fn sim_setup(benchmark: Benchmark) -> (TimingParams, SimConfig, WorkloadSpec) {
-    let spec = benchmark.spec();
-    let timing = match benchmark {
-        Benchmark::WideIo => TimingParams::wide_io_200(),
-        Benchmark::Hmc => TimingParams::hmc_2500(),
-        _ => TimingParams::ddr3_1600(),
-    };
-    let mut config = SimConfig::paper_ddr3();
-    config.dies = spec.dram_dies;
-    config.banks_per_die = spec.banks_per_die;
-    config.channels = spec.channels;
-    let mut workload = WorkloadSpec::paper_ddr3();
-    workload.dies = spec.dram_dies;
-    workload.banks_per_die = spec.banks_per_die;
-    workload.channels = spec.channels;
-    (timing, config, workload)
-}
-
 /// Runs the study for all four benchmarks with `reads` requests each. The
 /// constraint is set to 80% of the worst reachable LUT state, so every
 /// benchmark is meaningfully constrained.
@@ -101,8 +82,8 @@ pub fn run(options: &MeshOptions, reads: usize) -> Result<PolicyCross, CoreError
     let mut rows = Vec::new();
     for benchmark in Benchmark::ALL {
         let design = StackDesign::baseline(benchmark);
-        let mut eval = platform.evaluate(&design)?;
-        let lut = build_ir_lut(&mut eval, SimConfig::paper_ddr3().max_powered_per_die)?;
+        let eval = platform.evaluate(&design)?;
+        let lut = build_ir_lut(&eval, SimConfig::paper_ddr3().max_powered_per_die)?;
         // The worst state the controller could ever enter, at its
         // zero-bubble rate.
         let worst = lut
@@ -111,7 +92,7 @@ pub fn run(options: &MeshOptions, reads: usize) -> Result<PolicyCross, CoreError
             .fold(0.0f64, f64::max);
         let constraint = MilliVolts(worst * 0.8);
 
-        let (timing, config, mut workload) = sim_setup(benchmark);
+        let (timing, config, mut workload) = sim_setup(&design);
         workload.count = reads;
         let requests = workload.generate();
 

@@ -89,7 +89,7 @@ pub fn run(options: &MeshOptions) -> Result<Table3, CoreError> {
                 builder = builder.mounting(m);
             }
             let design = builder.build()?;
-            let mut eval = platform.evaluate(&design)?;
+            let eval = platform.evaluate(&design)?;
             with.push(eval.max_ir(&state, 1.0)?.value());
         }
         rows.push(Table3Row {

@@ -92,8 +92,8 @@ pub fn run(options: &MeshOptions) -> Result<Table4, CoreError> {
     let f2f = StackDesign::builder(Benchmark::StackedDdr3OffChip)
         .bonding(BondingStyle::F2F)
         .build()?;
-    let mut f2b_eval = platform.evaluate(&f2b)?;
-    let mut f2f_eval = platform.evaluate(&f2f)?;
+    let f2b_eval = platform.evaluate(&f2b)?;
+    let f2f_eval = platform.evaluate(&f2f)?;
 
     let mut rows = Vec::new();
     for text in TABLE4_STATES {

@@ -88,8 +88,8 @@ pub fn run(options: &MeshOptions) -> Result<Table5, CoreError> {
         .bonding(BondingStyle::F2F)
         .build()?;
     let model = f2b.power_model();
-    let mut f2b_eval = platform.evaluate(&f2b)?;
-    let mut f2f_eval = platform.evaluate(&f2f)?;
+    let f2b_eval = platform.evaluate(&f2b)?;
+    let f2f_eval = platform.evaluate(&f2f)?;
 
     let mut rows = Vec::new();
     for (text, io_activity) in TABLE5_CASES {

@@ -113,8 +113,8 @@ pub fn run_with(
 ) -> Result<Table6, CoreError> {
     let platform = Platform::new(options.clone());
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let mut eval = platform.evaluate(&design)?;
-    let lut = build_ir_lut(&mut eval, SimConfig::paper_ddr3().max_powered_per_die)?;
+    let eval = platform.evaluate(&design)?;
+    let lut = build_ir_lut(&eval, SimConfig::paper_ddr3().max_powered_per_die)?;
     let requests = workload.generate();
 
     // The three policy simulations are independent; fan them across the
@@ -155,8 +155,8 @@ pub fn run_seeds(
 ) -> Result<Vec<Table6>, CoreError> {
     let platform = Platform::new(options.clone());
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let mut eval = platform.evaluate(&design)?;
-    let lut = build_ir_lut(&mut eval, SimConfig::paper_ddr3().max_powered_per_die)?;
+    let eval = platform.evaluate(&design)?;
+    let lut = build_ir_lut(&eval, SimConfig::paper_ddr3().max_powered_per_die)?;
 
     let cases: Vec<(u64, &'static str, ReadPolicy)> = seeds
         .iter()

@@ -59,7 +59,7 @@ pub fn run(options: &MeshOptions) -> Result<Table7, CoreError> {
     let mut rows = Vec::new();
     for case in CaseSpec::all() {
         let design = case.build()?;
-        let mut eval = platform.evaluate(&design)?;
+        let eval = platform.evaluate(&design)?;
         rows.push(Table7Row {
             case,
             max_ir_mv: eval.max_ir(&state, 1.0)?.value(),

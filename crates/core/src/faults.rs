@@ -23,10 +23,11 @@
 use crate::error::CoreError;
 use crate::jobs::{config_hash_of, journaled_sweep, JobContext, PartialSweep};
 use crate::lut_builder::build_ir_lut_from_mesh;
+use crate::platform::sim_setup;
 use crate::report::{mv, TextTable};
 use pi3d_layout::units::MilliVolts;
 use pi3d_layout::{Benchmark, DieState, FaultSpec, MemoryState, StackDesign};
-use pi3d_memsim::{MemorySimulator, ReadPolicy, SimConfig, TimingParams, WorkloadSpec};
+use pi3d_memsim::{MemorySimulator, ReadPolicy};
 use pi3d_mesh::{MeshError, MeshOptions, StackMesh};
 use pi3d_telemetry::rng::SplitMix64;
 use pi3d_telemetry::Json;
@@ -361,7 +362,7 @@ fn run_trial(
         threads: 1,
         ..options.mesh.clone()
     };
-    let mut mesh = match StackMesh::new(design, mesh_options) {
+    let mesh = match StackMesh::new(design, mesh_options) {
         Ok(mesh) => mesh,
         Err(MeshError::DegradedSupply(report)) => {
             let opens = report.faults.map_or(0, |f| f.total_opens());
@@ -441,26 +442,6 @@ fn summarize(level: f64, trials: &[FaultTrial]) -> FaultLevelSummary {
     }
 }
 
-/// Benchmark-specific simulation structure (mirrors the cross-benchmark
-/// policy study).
-fn sim_setup(benchmark: Benchmark) -> (TimingParams, SimConfig, WorkloadSpec) {
-    let spec = benchmark.spec();
-    let timing = match benchmark {
-        Benchmark::WideIo => TimingParams::wide_io_200(),
-        Benchmark::Hmc => TimingParams::hmc_2500(),
-        _ => TimingParams::ddr3_1600(),
-    };
-    let mut config = SimConfig::paper_ddr3();
-    config.dies = spec.dram_dies;
-    config.banks_per_die = spec.banks_per_die;
-    config.channels = spec.channels;
-    let mut workload = WorkloadSpec::paper_ddr3();
-    workload.dies = spec.dram_dies;
-    workload.banks_per_die = spec.banks_per_die;
-    workload.channels = spec.channels;
-    (timing, config, workload)
-}
-
 /// Runs the three read policies against both the pristine and a degraded
 /// LUT, with the IR constraint anchored to the *pristine* stack — the
 /// controller's table was characterized at time zero, so a degraded stack
@@ -496,7 +477,7 @@ fn policy_stage(
         .fold(0.0f64, f64::max);
     let constraint = MilliVolts(worst * 0.8);
 
-    let (timing, config, mut workload) = sim_setup(design.benchmark());
+    let (timing, config, mut workload) = sim_setup(design);
     workload.count = options.reads;
     let requests = workload.generate();
 

@@ -23,7 +23,7 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let platform = Platform::new(MeshOptions::coarse());
 //! let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-//! let mut eval = platform.evaluate(&design)?;
+//! let eval = platform.evaluate(&design)?;
 //! let ir = eval.max_ir(&"0-0-0-2".parse()?, 1.0)?;
 //! let objective = ir_cost(ir.value(), eval.cost().total, 0.3);
 //! assert!(objective > 0.0);
@@ -62,7 +62,7 @@ pub use optimize::{
     characterize, characterize_plan, characterize_shard, characterize_with, ir_cost, BestSolution,
     Characterization, ComboModel, ParetoPoint,
 };
-pub use platform::{DesignEvaluation, Platform};
+pub use platform::{sim_setup, DesignEvaluation, Platform};
 pub use regression::{ir_features, LogIrModel, RegressionModel};
 pub use shard::{
     merge_shard_journals, run_sharded, HeartbeatGuard, MergeStats, QuarantinedUnit, ShardOptions,

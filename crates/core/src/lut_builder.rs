@@ -51,14 +51,14 @@ pub const LUT_ACTIVITIES: [f64; 5] = [0.10, 0.25, 1.0 / 3.0, 0.5, 1.0];
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let platform = Platform::new(MeshOptions::coarse());
 /// let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-/// let mut eval = platform.evaluate(&design)?;
-/// let lut = build_ir_lut(&mut eval, 2)?;
+/// let eval = platform.evaluate(&design)?;
+/// let lut = build_ir_lut(&eval, 2)?;
 /// assert!(lut.lookup(&[0, 0, 0, 2], 1.0).is_some());
 /// # Ok(())
 /// # }
 /// ```
 pub fn build_ir_lut(
-    eval: &mut DesignEvaluation,
+    eval: &DesignEvaluation,
     max_banks_per_die: usize,
 ) -> Result<IrDropLut, CoreError> {
     build_ir_lut_from_mesh(eval.analysis().mesh(), max_banks_per_die)
@@ -191,9 +191,9 @@ mod tests {
     fn lut_build_covers_all_nonidle_states() {
         let platform = Platform::new(MeshOptions::coarse());
         let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-        let mut eval = platform.evaluate(&design).unwrap();
+        let eval = platform.evaluate(&design).unwrap();
         // Cap at 1 bank per die to keep the test fast: 2^4 - 1 states.
-        let lut = build_ir_lut(&mut eval, 1).unwrap();
+        let lut = build_ir_lut(&eval, 1).unwrap();
         assert_eq!(lut.state_count(), 15);
         // Monotonic in activity for a fixed state.
         let low = lut.lookup(&[0, 0, 0, 1], 0.25).unwrap();

@@ -258,7 +258,7 @@ fn fit_combo(
             for &tc in &space.tc_samples() {
                 let point = DesignPoint { m2, m3, tc, combo };
                 let design = point.to_design(benchmark)?;
-                let mut eval = platform.evaluate(&design)?;
+                let eval = platform.evaluate(&design)?;
                 let ir = eval.max_ir(state, 1.0)?;
                 samples.push((m2, m3, tc as f64));
                 targets.push(ir.value());
@@ -345,7 +345,7 @@ impl Characterization {
 
         // Verify with the real mesh (the Table 9 "R-Mesh" column).
         let design = point.to_design(self.benchmark)?;
-        let mut eval = platform.evaluate(&design)?;
+        let eval = platform.evaluate(&design)?;
         let measured = eval.max_ir(&self.space.default_state(), 1.0)?;
 
         Ok(BestSolution {

@@ -1,6 +1,7 @@
 use crate::error::CoreError;
 use pi3d_layout::units::MilliVolts;
-use pi3d_layout::{CostBreakdown, MemoryState, OpKind, StackDesign};
+use pi3d_layout::{Benchmark, CostBreakdown, MemoryState, OpKind, StackDesign};
+use pi3d_memsim::{SimConfig, TimingParams, WorkloadSpec};
 use pi3d_mesh::{IrAnalysis, IrDropReport, MeshOptions};
 
 /// The cross-domain evaluation platform: builds R-Meshes for designs and
@@ -20,7 +21,7 @@ use pi3d_mesh::{IrAnalysis, IrDropReport, MeshOptions};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let platform = Platform::new(MeshOptions::coarse());
 /// let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-/// let mut eval = platform.evaluate(&design)?;
+/// let eval = platform.evaluate(&design)?;
 /// let report = eval.run(&"0-0-0-2".parse()?, 1.0)?;
 /// assert!(report.max_dram().value() > 0.0);
 /// # Ok(())
@@ -64,7 +65,32 @@ impl Default for Platform {
     }
 }
 
+/// The memory-simulator set-up for a design: its benchmark's interface
+/// timing, plus the paper's controller configuration and workload sized
+/// to the design's stack (its die count and its benchmark's banks per die
+/// and channels). Callers set the workload's request count.
+pub fn sim_setup(design: &StackDesign) -> (TimingParams, SimConfig, WorkloadSpec) {
+    let timing = match design.benchmark() {
+        Benchmark::WideIo => TimingParams::wide_io_200(),
+        Benchmark::Hmc => TimingParams::hmc_2500(),
+        _ => TimingParams::ddr3_1600(),
+    };
+    let mut config = SimConfig::paper_ddr3();
+    config.dies = design.dram_die_count();
+    config.banks_per_die = design.banks_per_die();
+    config.channels = design.benchmark().spec().channels;
+    let mut workload = WorkloadSpec::paper_ddr3();
+    workload.dies = config.dies;
+    workload.banks_per_die = config.banks_per_die;
+    workload.channels = config.channels;
+    (timing, config, workload)
+}
+
 /// A design with its assembled R-Mesh, ready for repeated state solves.
+///
+/// Every solve is one cold solve of the mesh, so an evaluation gives the
+/// same answer for a state whatever it solved before, and can be shared
+/// across threads.
 #[derive(Debug)]
 pub struct DesignEvaluation {
     design: StackDesign,
@@ -82,11 +108,7 @@ impl DesignEvaluation {
     /// # Errors
     ///
     /// Propagates solver non-convergence.
-    pub fn run(
-        &mut self,
-        state: &MemoryState,
-        io_activity: f64,
-    ) -> Result<IrDropReport, CoreError> {
+    pub fn run(&self, state: &MemoryState, io_activity: f64) -> Result<IrDropReport, CoreError> {
         Ok(self.analysis.run(state, io_activity)?)
     }
 
@@ -96,7 +118,7 @@ impl DesignEvaluation {
     ///
     /// Propagates solver non-convergence.
     pub fn run_op(
-        &mut self,
+        &self,
         state: &MemoryState,
         io_activity: f64,
         op: OpKind,
@@ -104,34 +126,12 @@ impl DesignEvaluation {
         Ok(self.analysis.run_op(state, io_activity, op)?)
     }
 
-    /// Full analyses of many `(state, io_activity)` cases in one batch.
-    /// The mesh's matrix is factored once (at [`Platform::evaluate`]); the
-    /// cases fan across [`MeshOptions::threads`] workers and come back in
-    /// input order, bit-identical for every thread count. Takes `&self`
-    /// (the batch path never touches the warm-start cache), so a shared
-    /// evaluation can serve concurrent batches.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by input index) solver failure, if any.
-    pub fn run_batch(
-        &self,
-        cases: &[(MemoryState, f64)],
-        op: OpKind,
-    ) -> Result<Vec<IrDropReport>, CoreError> {
-        Ok(self.analysis.run_batch(cases, op)?)
-    }
-
     /// Maximum DRAM IR drop of one state — the headline metric.
     ///
     /// # Errors
     ///
     /// Propagates solver non-convergence.
-    pub fn max_ir(
-        &mut self,
-        state: &MemoryState,
-        io_activity: f64,
-    ) -> Result<MilliVolts, CoreError> {
+    pub fn max_ir(&self, state: &MemoryState, io_activity: f64) -> Result<MilliVolts, CoreError> {
         Ok(self.run(state, io_activity)?.max_dram())
     }
 
@@ -143,11 +143,6 @@ impl DesignEvaluation {
     /// Access to the underlying analysis.
     pub fn analysis(&self) -> &IrAnalysis {
         &self.analysis
-    }
-
-    /// Access to the underlying analysis (for validation harnesses).
-    pub fn analysis_mut(&mut self) -> &mut IrAnalysis {
-        &mut self.analysis
     }
 }
 
@@ -161,7 +156,7 @@ mod tests {
     fn platform_round_trip() {
         let platform = Platform::new(MeshOptions::coarse());
         let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-        let mut eval = platform.evaluate(&design).expect("valid design");
+        let eval = platform.evaluate(&design).expect("valid design");
         let state: MemoryState = "0-0-0-2".parse().unwrap();
         let ir = eval.max_ir(&state, 1.0).unwrap();
         assert!(ir.value() > 5.0 && ir.value() < 100.0, "IR {ir}");
@@ -185,7 +180,7 @@ mod tests {
     fn write_op_changes_the_answer_slightly() {
         let platform = Platform::new(MeshOptions::coarse());
         let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-        let mut eval = platform.evaluate(&design).unwrap();
+        let eval = platform.evaluate(&design).unwrap();
         let state: MemoryState = "0-0-0-2".parse().unwrap();
         let read = eval.run_op(&state, 1.0, OpKind::Read).unwrap().max_dram();
         let write = eval.run_op(&state, 1.0, OpKind::Write).unwrap().max_dram();

@@ -18,9 +18,9 @@
 //!   `simulate`, `optimize`, `ping`, `stats`, `shutdown`) and returns
 //!   the response document. Responses to analysis requests are
 //!   byte-identical whether served from a cache hit or a cold build —
-//!   the same determinism bar as `--resume` — because cached meshes are
-//!   solved through the cold batch path (no warm starts) and cached
-//!   artifacts are exactly what a fresh build would produce.
+//!   the same determinism bar as `--resume` — because every mesh solve
+//!   is cold (meshes hold no solve state) and cached artifacts are
+//!   exactly what a fresh build would produce.
 //! * [`RequestQueue`] — the bounded FIFO admission queue between the
 //!   connection readers and the worker pool.
 //! * [`exit_code_for`] / [`outcome_json`] — the PR 5 outcome contract
@@ -46,14 +46,11 @@ use crate::config;
 use crate::error::CoreError;
 use crate::jobs::config_fingerprint;
 use crate::optimize::{characterize_with, Characterization};
-use crate::platform::Platform;
+use crate::platform::{sim_setup, Platform};
 use crate::{build_ir_lut_from_mesh, JobContext};
 use pi3d_layout::units::MilliVolts;
-use pi3d_layout::{DieState, MemoryState, OpKind, StackDesign};
-use pi3d_memsim::{
-    IrDropLut, MemorySimulator, ReadPolicy, SimConfig, SimStats, SimulateError, TimingParams,
-    WorkloadSpec,
-};
+use pi3d_layout::{DieState, MemoryState, StackDesign};
+use pi3d_memsim::{IrDropLut, MemorySimulator, ReadPolicy, SimStats, SimulateError};
 use pi3d_mesh::{IrAnalysis, MeshOptions};
 use pi3d_solver::SolverError;
 use pi3d_telemetry::cancel::{latched_signal, SIGTERM};
@@ -757,9 +754,9 @@ enum CacheValue {
     Characterization(Arc<Characterization>),
 }
 
-/// A design parsed, meshed, and factored once; solved immutably (cold
-/// batch path, no warm starts) by every request that hits it, so cached
-/// and fresh solves are bit-identical.
+/// A design parsed, meshed, and factored once; solved immutably (every
+/// solve is cold) by every request that hits it, so cached and fresh
+/// solves are bit-identical.
 struct DesignEntry {
     design: StackDesign,
     analysis: IrAnalysis,
@@ -1474,8 +1471,8 @@ impl ServeState {
     // -- handlers -----------------------------------------------------------
 
     /// `solve`: one IR-drop analysis of a memory state against the
-    /// cached factored mesh. Solved through the cold batch path so the
-    /// result bytes cannot depend on what was solved before.
+    /// cached factored mesh. The solve is cold, so the result bytes
+    /// cannot depend on what was solved before.
     fn solve(&self, request: &Json) -> Result<Json, Fail> {
         let ctx = self.request_ctx(request)?;
         self.check_budget(&ctx, "solve")?;
@@ -1502,11 +1499,10 @@ impl ServeState {
             None => 1.0,
         };
 
-        let reports = entry
+        let report = entry
             .analysis
-            .run_batch(&[(state.clone(), activity)], OpKind::Read)
+            .run(&state, activity)
             .map_err(|e| Fail::of("solve", &e))?;
-        let report = &reports[0];
         let per_die: Vec<Json> = (0..entry.design.dram_die_count())
             .map(|die| f64_to_json(report.max_die(die).value()))
             .collect();
@@ -1562,26 +1558,12 @@ impl ServeState {
             None => 10_000,
         };
 
-        let sim_cfg_base = SimConfig::paper_ddr3();
-        let lut = self.lut_for(&entry, design_key, sim_cfg_base.max_powered_per_die)?;
+        let (timing, mut sim_config, mut workload) = sim_setup(&entry.design);
+        let lut = self.lut_for(&entry, design_key, sim_config.max_powered_per_die)?;
         self.check_budget(&ctx, "simulate")?;
 
-        let spec = entry.design.benchmark().spec();
-        let timing = match entry.design.benchmark() {
-            pi3d_layout::Benchmark::WideIo => TimingParams::wide_io_200(),
-            pi3d_layout::Benchmark::Hmc => TimingParams::hmc_2500(),
-            _ => TimingParams::ddr3_1600(),
-        };
-        let mut workload = WorkloadSpec::paper_ddr3();
         workload.count = reads;
-        workload.dies = entry.design.dram_die_count();
-        workload.banks_per_die = entry.design.banks_per_die();
-        workload.channels = spec.channels;
         let requests = workload.generate();
-        let mut sim_config = sim_cfg_base;
-        sim_config.dies = entry.design.dram_die_count();
-        sim_config.banks_per_die = entry.design.banks_per_die();
-        sim_config.channels = spec.channels;
         if let Some(j) = request.get("max_cycles") {
             sim_config.max_cycles = u64_from_json(j)
                 .or_else(|| {

@@ -20,8 +20,8 @@ fn lut_is_bit_identical_across_thread_counts() {
 
     let reference = {
         let platform = Platform::new(MeshOptions::coarse());
-        let mut eval = platform.evaluate(&design).unwrap();
-        build_ir_lut(&mut eval, MAX_BANKS).unwrap()
+        let eval = platform.evaluate(&design).unwrap();
+        build_ir_lut(&eval, MAX_BANKS).unwrap()
     };
     assert_eq!(reference.state_count(), 15);
 
@@ -33,15 +33,15 @@ fn lut_is_bit_identical_across_thread_counts() {
             threads,
             ..MeshOptions::coarse()
         });
-        let mut eval = platform.evaluate(&design).unwrap();
-        let lut = build_ir_lut(&mut eval, MAX_BANKS).unwrap();
+        let eval = platform.evaluate(&design).unwrap();
+        let lut = build_ir_lut(&eval, MAX_BANKS).unwrap();
         assert_eq!(lut, reference, "threads {threads}");
     }
 
     // Superposition accuracy: every tabulated value matches a direct
     // per-case solve to well within solver tolerance.
     let platform = Platform::new(MeshOptions::coarse());
-    let mut eval = platform.evaluate(&design).unwrap();
+    let eval = platform.evaluate(&design).unwrap();
     for bits in 1u8..16 {
         let counts: Vec<u8> = (0..4).map(|d| (bits >> d) & 1).collect();
         let state = MemoryState::new(

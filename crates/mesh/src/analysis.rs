@@ -105,6 +105,10 @@ impl IrDropReport {
 
 /// Convenience front end running solves and summarizing them.
 ///
+/// Every [`run`](Self::run) is one cold solve of the wrapped mesh, so a
+/// shared analysis (the serve daemon hits one from many worker threads)
+/// gives the same report for a state whatever was solved before.
+///
 /// # Examples
 ///
 /// ```
@@ -113,7 +117,7 @@ impl IrDropReport {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-/// let mut analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
+/// let analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
 /// let report = analysis.run(&"0-0-0-2".parse()?, 1.0)?;
 /// assert!(report.max_dram().value() > 0.0);
 /// # Ok(())
@@ -155,11 +159,7 @@ impl IrAnalysis {
     /// # Errors
     ///
     /// Propagates solver non-convergence.
-    pub fn run(
-        &mut self,
-        state: &MemoryState,
-        io_activity: f64,
-    ) -> Result<IrDropReport, SolverError> {
+    pub fn run(&self, state: &MemoryState, io_activity: f64) -> Result<IrDropReport, SolverError> {
         self.run_op(state, io_activity, pi3d_layout::OpKind::Read)
     }
 
@@ -170,7 +170,7 @@ impl IrAnalysis {
     ///
     /// As for [`run`](Self::run).
     pub fn run_op(
-        &mut self,
+        &self,
         state: &MemoryState,
         io_activity: f64,
         op: pi3d_layout::OpKind,
@@ -179,34 +179,6 @@ impl IrAnalysis {
         pi3d_telemetry::metrics::counter("mesh.ir_analyses").incr(1);
         let v = self.mesh.solve_op(state, io_activity, op)?;
         Ok(self.summarize(state, io_activity, v))
-    }
-
-    /// Solves many `(state, io_activity)` cases in one batch against the
-    /// mesh's already-factored matrix — see [`StackMesh::solve_batch_op`]
-    /// for the threading and determinism contract. Reports come back in
-    /// input order.
-    ///
-    /// Takes `&self`: the batch path runs cold (no warm-start cache), so
-    /// a shared analysis — e.g. one held in the serve daemon's cache and
-    /// hit from many worker threads — yields bit-identical reports
-    /// regardless of what was solved before or concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by input index) solver failure, if any.
-    pub fn run_batch(
-        &self,
-        cases: &[(MemoryState, f64)],
-        op: pi3d_layout::OpKind,
-    ) -> Result<Vec<IrDropReport>, SolverError> {
-        let _span = pi3d_telemetry::span::span("ir_analysis_batch");
-        pi3d_telemetry::metrics::counter("mesh.ir_analyses").incr(cases.len() as u64);
-        let solutions = self.mesh.solve_batch_op(cases, op)?;
-        Ok(cases
-            .iter()
-            .zip(solutions)
-            .map(|((state, io), v)| self.summarize(state, *io, v))
-            .collect())
     }
 
     fn summarize(&self, state: &MemoryState, io_activity: f64, v: Arc<Vec<f64>>) -> IrDropReport {
@@ -256,7 +228,7 @@ mod tests {
 
     #[test]
     fn report_summaries_are_consistent() {
-        let mut a = analysis(Benchmark::StackedDdr3OffChip);
+        let a = analysis(Benchmark::StackedDdr3OffChip);
         let r = a.run(&"0-0-0-2".parse().unwrap(), 1.0).unwrap();
         // Max over grids equals max over DRAM dies.
         let die_max = (0..4).map(|d| r.max_die(d).value()).fold(0.0f64, f64::max);
@@ -271,7 +243,7 @@ mod tests {
 
     #[test]
     fn active_die_has_the_highest_drop() {
-        let mut a = analysis(Benchmark::StackedDdr3OffChip);
+        let a = analysis(Benchmark::StackedDdr3OffChip);
         let r = a.run(&"0-0-0-2".parse().unwrap(), 1.0).unwrap();
         let top = r.max_die(3).value();
         for d in 0..3 {
@@ -285,7 +257,7 @@ mod tests {
 
     #[test]
     fn grid_map_dimensions_match() {
-        let mut a = analysis(Benchmark::StackedDdr3OffChip);
+        let a = analysis(Benchmark::StackedDdr3OffChip);
         let r = a.run(&"0-0-0-2".parse().unwrap(), 1.0).unwrap();
         let (id, grid) = r.registry().iter().next().unwrap();
         let map = r.grid_map(id);
@@ -294,14 +266,14 @@ mod tests {
 
     #[test]
     fn on_chip_reports_logic_noise() {
-        let mut a = analysis(Benchmark::StackedDdr3OnChip);
+        let a = analysis(Benchmark::StackedDdr3OnChip);
         let r = a.run(&"0-0-0-2".parse().unwrap(), 1.0).unwrap();
         assert!(r.max_logic().value() > 1.0, "logic noise {}", r.max_logic());
     }
 
     #[test]
     fn deeper_dies_see_more_drop_when_uniformly_active() {
-        let mut a = analysis(Benchmark::StackedDdr3OffChip);
+        let a = analysis(Benchmark::StackedDdr3OffChip);
         let r = a.run(&"2-2-2-2".parse().unwrap(), 1.0).unwrap();
         // Supply enters at the bottom: the top die must be at least as
         // stressed as the bottom die.

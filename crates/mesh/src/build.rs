@@ -138,10 +138,10 @@ pub struct MeshOptions {
     /// configurable power-TSV placement. They carry the I/O supply current
     /// drawn by the pad drivers. Set to 0 for ablation studies.
     pub pad_row_tsvs: usize,
-    /// How many right-hand sides a batch solve
-    /// ([`StackMesh::solve_batch`]) runs at once. A single solve always
-    /// runs on the calling thread; results are bit-identical for every
-    /// value (see [`pi3d_solver::PreparedSystem`]).
+    /// How many right-hand sides a batch solve through the mesh's
+    /// [`PreparedSystem::solve_batch`] (the IR-drop LUT basis) runs at
+    /// once. A single solve always runs on the calling thread; results
+    /// are bit-identical for every value.
     pub threads: usize,
     /// Seeded PDN defects to inject during assembly (`None` = pristine
     /// mesh). The draw order is fixed by the single-threaded assembly
@@ -192,74 +192,20 @@ impl MeshOptions {
     }
 }
 
-/// Bounded cache of previous solutions keyed by the per-die active-bank
-/// signature of the solved memory state. Sequential sweeps (the optimizer,
-/// the memory simulator) revisit similar states; warm-starting CG from the
-/// *nearest* previously-solved state typically halves the iteration count,
-/// and keeping several candidates beats a single last-solution slot when
-/// the sweep alternates between distant states.
-#[derive(Debug, Default)]
-struct WarmStartCache {
-    entries: Vec<(Vec<u8>, Arc<Vec<f64>>)>,
-}
-
-/// Warm-start cache capacity; oldest entry is evicted first.
-const WARM_CACHE_CAP: usize = 16;
-
-impl WarmStartCache {
-    fn key(state: &MemoryState) -> Vec<u8> {
-        state
-            .dies()
-            .map(|d| d.active_banks.min(u8::MAX as usize) as u8)
-            .collect()
-    }
-
-    /// The cached solution whose state signature has the smallest L1
-    /// distance to `key`. Ties resolve to the earliest-inserted entry, so
-    /// the lookup is deterministic.
-    fn nearest(&self, key: &[u8]) -> Option<&Arc<Vec<f64>>> {
-        self.entries
-            .iter()
-            .min_by_key(|(k, _)| {
-                k.iter()
-                    .zip(key)
-                    .map(|(&a, &b)| u32::from(a.abs_diff(b)))
-                    .sum::<u32>()
-            })
-            .map(|(_, v)| v)
-    }
-
-    fn insert(&mut self, key: Vec<u8>, value: Arc<Vec<f64>>) {
-        match self.entries.iter_mut().find(|(k, _)| *k == key) {
-            Some(entry) => entry.1 = value,
-            None => {
-                if self.entries.len() >= WARM_CACHE_CAP {
-                    self.entries.remove(0);
-                }
-                self.entries.push((key, value));
-            }
-        }
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
 /// The assembled R-Mesh of a full 3D DRAM stack: conductance matrix plus
 /// the geometric registry needed to place loads and read back IR drops.
 ///
 /// The conductance matrix never changes after assembly, so the mesh holds
 /// it inside a [`PreparedSystem`]: the CG preconditioner is factored once
-/// here and reused by every subsequent solve (sequential or batch).
+/// here and reused by every subsequent solve. The mesh holds no other
+/// state: every solve is one cold CG solve, so its answer depends only on
+/// the memory state and activity, never on what was solved before.
 #[derive(Debug)]
 pub struct StackMesh {
     design: StackDesign,
     options: MeshOptions,
     registry: Arc<GridRegistry>,
     prepared: PreparedSystem,
-    warm_cache: WarmStartCache,
     elements: Vec<Element>,
     /// Per-grid effective edge conductances `(g_x, g_y)`, summed over
     /// stamped sheets (index = grid id).
@@ -365,7 +311,6 @@ impl StackMesh {
             options: options.clone(),
             registry: Arc::new(builder.registry),
             prepared,
-            warm_cache: WarmStartCache::default(),
             elements: builder.elements,
             sheet_conductances: builder.sheets,
             fault_report,
@@ -508,15 +453,15 @@ impl StackMesh {
     }
 
     /// Solves the mesh for a memory state, returning the per-node IR drop
-    /// in volts. The preconditioner was factored at assembly; CG warm-starts
-    /// from the cached solution of the *nearest* previously-solved state.
+    /// in volts: one cold CG solve against the preconditioner factored at
+    /// assembly.
     ///
     /// # Errors
     ///
     /// Propagates solver failures (non-convergence on pathological
     /// configurations).
     pub fn solve(
-        &mut self,
+        &self,
         state: &MemoryState,
         io_activity: f64,
     ) -> Result<Arc<Vec<f64>>, SolverError> {
@@ -529,69 +474,14 @@ impl StackMesh {
     ///
     /// As for [`solve`](Self::solve).
     pub fn solve_op(
-        &mut self,
+        &self,
         state: &MemoryState,
         io_activity: f64,
         op: pi3d_layout::OpKind,
     ) -> Result<Arc<Vec<f64>>, SolverError> {
         let _solve_span = pi3d_telemetry::span::span("mesh_solve");
         let loads = self.load_vector_op(state, io_activity, op);
-        let key = WarmStartCache::key(state);
-        let guess = self.warm_cache.nearest(&key).map(Arc::clone);
-        if guess.is_some() {
-            pi3d_telemetry::metrics::counter("mesh.warm_cache.hits").incr(1);
-        }
-        let solution = self
-            .prepared
-            .solve(&loads, guess.as_ref().map(|g| g.as_slice()))?;
-        let x = Arc::new(solution.x);
-        self.warm_cache.insert(key, Arc::clone(&x));
-        Ok(x)
-    }
-
-    /// Solves many `(state, io_activity)` cases against the already-factored
-    /// matrix, fanning them across [`MeshOptions::threads`] workers.
-    /// Results come back in input order and are bit-identical for every
-    /// thread count; batch solves run cold (no warm starts) and do not
-    /// touch the warm-start cache, precisely so the output cannot depend on
-    /// what was solved before.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by input index) solver failure, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any state's die count differs from the design's.
-    pub fn solve_batch(
-        &self,
-        cases: &[(MemoryState, f64)],
-    ) -> Result<Vec<Arc<Vec<f64>>>, SolverError> {
-        self.solve_batch_op(cases, pi3d_layout::OpKind::Read)
-    }
-
-    /// As [`solve_batch`](Self::solve_batch), for an explicit operation
-    /// kind.
-    ///
-    /// # Errors
-    ///
-    /// As for [`solve_batch`](Self::solve_batch).
-    ///
-    /// # Panics
-    ///
-    /// As for [`solve_batch`](Self::solve_batch).
-    pub fn solve_batch_op(
-        &self,
-        cases: &[(MemoryState, f64)],
-        op: pi3d_layout::OpKind,
-    ) -> Result<Vec<Arc<Vec<f64>>>, SolverError> {
-        let _span = pi3d_telemetry::span::span("mesh_solve_batch");
-        let loads: Vec<Vec<f64>> = cases
-            .iter()
-            .map(|(state, io)| self.load_vector_op(state, *io, op))
-            .collect();
-        let solutions = self.prepared.solve_batch(&loads)?;
-        Ok(solutions.into_iter().map(|s| Arc::new(s.x)).collect())
+        Ok(Arc::new(self.prepared.solve(&loads, None)?.x))
     }
 }
 
@@ -1461,7 +1351,7 @@ mod tests {
     #[test]
     fn solve_produces_positive_bounded_drops() {
         let d = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-        let mut m = mesh(&d);
+        let m = mesh(&d);
         let state: MemoryState = "0-0-0-2".parse().unwrap();
         let v = m.solve(&state, 1.0).expect("solve");
         let max = v.iter().cloned().fold(0.0f64, f64::max);
@@ -1472,33 +1362,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_cache_is_populated_and_reused() {
-        let d = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-        let mut m = mesh(&d);
-        let state: MemoryState = "0-0-0-2".parse().unwrap();
-        let _ = m.solve(&state, 1.0).unwrap();
-        assert_eq!(m.warm_cache.len(), 1);
-        // Same state: re-solving replaces the entry rather than growing.
-        let _ = m.solve(&state, 0.5).unwrap();
-        assert_eq!(m.warm_cache.len(), 1);
-        // A different state adds a second entry; the nearest lookup picks
-        // the closest signature.
-        let other: MemoryState = "2-0-0-0".parse().unwrap();
-        let _ = m.solve(&other, 1.0).unwrap();
-        assert_eq!(m.warm_cache.len(), 2);
-        let near = m.warm_cache.nearest(&[2, 0, 0, 1]).unwrap();
-        let direct = m.warm_cache.nearest(&WarmStartCache::key(&other)).unwrap();
-        assert!(Arc::ptr_eq(near, direct));
-    }
-
-    #[test]
     fn faulted_but_connected_mesh_solves_normally() {
         let d = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
         let spec = FaultSpec::new(42)
             .with_tsv_open(0.05)
             .with_via_void(0.02)
             .with_em_drift(0.1);
-        let mut m = StackMesh::new(
+        let m = StackMesh::new(
             &d,
             MeshOptions {
                 faults: Some(spec),
@@ -1589,44 +1459,5 @@ mod tests {
         assert_eq!(report.surviving_supply_paths, 0);
         assert_eq!(report.worst_surviving_path_ohms, None);
         assert_eq!(report.affected_dies, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn solve_batch_matches_sequential_solves_bitwise() {
-        let d = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-        let cases: Vec<(MemoryState, f64)> = [
-            ("0-0-0-2", 1.0),
-            ("1-0-0-0", 0.5),
-            ("2-2-2-2", 0.25),
-            ("0-1-0-1", 1.0),
-        ]
-        .into_iter()
-        .map(|(s, a)| (s.parse().unwrap(), a))
-        .collect();
-
-        // Sequential reference on a cold mesh per case (no warm starts).
-        let reference: Vec<Vec<f64>> = cases
-            .iter()
-            .map(|(state, io)| {
-                let m = mesh(&d);
-                let loads = m.load_vector(state, *io);
-                m.prepared().solve(&loads, None).unwrap().x
-            })
-            .collect();
-
-        for threads in [1, 4] {
-            let m = StackMesh::new(
-                &d,
-                MeshOptions {
-                    threads,
-                    ..MeshOptions::coarse()
-                },
-            )
-            .unwrap();
-            let batch = m.solve_batch(&cases).unwrap();
-            for (i, v) in batch.iter().enumerate() {
-                assert_eq!(**v, reference[i], "threads {threads}, case {i}");
-            }
-        }
     }
 }

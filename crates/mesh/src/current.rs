@@ -170,7 +170,7 @@ mod tests {
     use pi3d_layout::{Benchmark, MemoryState, StackDesign, TsvConfig, TsvPlacement};
 
     fn solve(design: &StackDesign) -> (StackMesh, Vec<f64>, f64) {
-        let mut mesh = StackMesh::new(design, MeshOptions::coarse()).expect("mesh builds");
+        let mesh = StackMesh::new(design, MeshOptions::coarse()).expect("mesh builds");
         let state: MemoryState = "0-0-0-2".parse().unwrap();
         let drops = mesh.solve(&state, 1.0).expect("solves");
         let injected: f64 = mesh.load_vector(&state, 1.0).iter().sum();
@@ -213,7 +213,7 @@ mod tests {
                 .tsv(TsvConfig::new(count, TsvPlacement::Edge).unwrap())
                 .build()
                 .unwrap();
-            let mut mesh = StackMesh::new(&design, MeshOptions::coarse()).unwrap();
+            let mesh = StackMesh::new(&design, MeshOptions::coarse()).unwrap();
             let drops = mesh.solve(&state, 1.0).unwrap();
             let report = CurrentReport::compute(&mesh, &drops);
             report.tsv_interfaces.last().unwrap().avg_a
@@ -237,7 +237,7 @@ mod tests {
                 .wire_bond(wb)
                 .build()
                 .unwrap();
-            let mut mesh = StackMesh::new(&design, MeshOptions::coarse()).unwrap();
+            let mesh = StackMesh::new(&design, MeshOptions::coarse()).unwrap();
             let drops = mesh.solve(&state, 1.0).unwrap();
             let report = CurrentReport::compute(&mesh, &drops);
             report.supply_entries.expect("entries exist").total_a

@@ -49,7 +49,7 @@ impl DieDecomposition {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-/// let mut analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
+/// let analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
 /// let report = analysis.run(&"2-2-2-2".parse()?, 0.25)?;
 /// let parts = decompose_ir(&report);
 /// // The top die's vertical pedestal exceeds the bottom die's.
@@ -96,7 +96,7 @@ mod tests {
 
     fn report(state: &str) -> IrDropReport {
         let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-        let mut a = IrAnalysis::new(&design, MeshOptions::coarse()).unwrap();
+        let a = IrAnalysis::new(&design, MeshOptions::coarse()).unwrap();
         let state: MemoryState = state.parse().unwrap();
         a.run(&state, 0.25).unwrap()
     }

@@ -18,7 +18,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-//! let mut analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
+//! let analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
 //! let report = analysis.run(&"0-0-0-2".parse()?, 1.0)?;
 //! println!("max IR drop: {:.2}", report.max_dram());
 //! # Ok(())

@@ -58,7 +58,7 @@ impl SupplyNoiseReport {
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-/// let mut analysis = SupplyNoiseAnalysis::new(&design, MeshOptions::coarse())?;
+/// let analysis = SupplyNoiseAnalysis::new(&design, MeshOptions::coarse())?;
 /// let report = analysis.run(&"0-0-0-2".parse()?, 1.0)?;
 /// // Symmetric nets: total collapse is twice the single-net drop.
 /// assert!(report.max_total().value() > report.vdd.max_dram().value());
@@ -98,7 +98,7 @@ impl SupplyNoiseAnalysis {
     ///
     /// Propagates solver non-convergence.
     pub fn run(
-        &mut self,
+        &self,
         state: &MemoryState,
         io_activity: f64,
     ) -> Result<SupplyNoiseReport, SolverError> {
@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn symmetric_nets_double_the_noise() {
         let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-        let mut analysis = SupplyNoiseAnalysis::new(&design, MeshOptions::coarse()).unwrap();
+        let analysis = SupplyNoiseAnalysis::new(&design, MeshOptions::coarse()).unwrap();
         let report = analysis.run(&"0-0-0-2".parse().unwrap(), 1.0).unwrap();
         let vdd = report.vdd.max_dram().value();
         let vss = report.vss.max_dram().value();
@@ -140,7 +140,7 @@ mod tests {
             .pdn(pdn)
             .build()
             .unwrap();
-        let mut analysis = SupplyNoiseAnalysis::new(&design, MeshOptions::coarse()).unwrap();
+        let analysis = SupplyNoiseAnalysis::new(&design, MeshOptions::coarse()).unwrap();
         let report = analysis.run(&"0-0-0-2".parse().unwrap(), 1.0).unwrap();
         let vdd = report.vdd.max_dram().value();
         let vss = report.vss.max_dram().value();

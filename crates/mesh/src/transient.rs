@@ -137,7 +137,7 @@ pub fn run_transient(
     state: &MemoryState,
 ) -> Result<TransientResult, MeshError> {
     let _span = pi3d_telemetry::span::span("transient");
-    let mut mesh = StackMesh::new(design, mesh_options)?;
+    let mesh = StackMesh::new(design, mesh_options)?;
     let n = mesh.node_count();
 
     // Node capacitances in farads.

@@ -75,7 +75,7 @@ pub fn validate_against_golden(
     state: &MemoryState,
     io_activity: f64,
 ) -> Result<ValidationReport, MeshError> {
-    let mut mesh = StackMesh::new(design, options)?;
+    let mesh = StackMesh::new(design, options)?;
     let loads = mesh.load_vector(state, io_activity);
 
     let t0 = Instant::now();

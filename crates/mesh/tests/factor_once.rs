@@ -14,7 +14,7 @@ fn mesh_factors_its_preconditioner_exactly_once() {
     let builds = metrics::counter("solver.precond.builds");
 
     let before = builds.get();
-    let mut mesh = StackMesh::new(
+    let mesh = StackMesh::new(
         &design,
         MeshOptions {
             threads: 2,
@@ -35,8 +35,8 @@ fn mesh_factors_its_preconditioner_exactly_once() {
     for state in &states {
         mesh.solve(state, 1.0).unwrap();
     }
-    let cases: Vec<(MemoryState, f64)> = states.iter().map(|s| (s.clone(), 0.5)).collect();
-    mesh.solve_batch(&cases).unwrap();
+    let loads: Vec<Vec<f64>> = states.iter().map(|s| mesh.load_vector(s, 0.5)).collect();
+    mesh.prepared().solve_batch(&loads).unwrap();
 
     assert_eq!(
         builds.get() - before,

@@ -93,7 +93,7 @@ fn drops_are_nonnegative_and_bounded() {
     for case in 0..CASES {
         let design = arb_design(&mut rng);
         let state = arb_state(&mut rng);
-        let mut mesh = StackMesh::new(&design, tiny()).expect("mesh builds");
+        let mesh = StackMesh::new(&design, tiny()).expect("mesh builds");
         let v = mesh.solve(&state, 1.0).expect("solves");
         for (i, &drop) in v.iter().enumerate() {
             assert!(drop >= -1e-9, "case {case} node {i} negative: {drop}");
@@ -111,7 +111,7 @@ fn drops_scale_linearly_with_activity_current() {
     let mut rng = SplitMix64::new(0x4e54_0003);
     for case in 0..CASES {
         let design = arb_design(&mut rng);
-        let mut mesh = StackMesh::new(&design, tiny()).expect("mesh builds");
+        let mesh = StackMesh::new(&design, tiny()).expect("mesh builds");
         let state: MemoryState = "0-0-0-2".parse().expect("literal");
         let v1 = mesh.solve(&state, 1.0).expect("solves");
         let loads = mesh.load_vector(&state, 1.0);
@@ -139,7 +139,7 @@ fn more_metal_never_hurts() {
         let design = arb_design(&mut rng);
         let state: MemoryState = "0-0-0-2".parse().expect("literal");
         let base_pdn = design.pdn();
-        let mut mesh = StackMesh::new(&design, tiny()).expect("mesh builds");
+        let mesh = StackMesh::new(&design, tiny()).expect("mesh builds");
         let v = mesh.solve(&state, 1.0).expect("solves");
         let base_max = v.iter().cloned().fold(0.0f64, f64::max);
 
@@ -152,7 +152,7 @@ fn more_metal_never_hurts() {
             .wire_bond(design.has_wire_bond())
             .build()
             .expect("still valid");
-        let mut mesh2 = StackMesh::new(&upgraded, tiny()).expect("mesh builds");
+        let mesh2 = StackMesh::new(&upgraded, tiny()).expect("mesh builds");
         let v2 = mesh2.solve(&state, 1.0).expect("solves");
         let up_max = v2.iter().cloned().fold(0.0f64, f64::max);
         assert!(
@@ -178,7 +178,7 @@ fn adding_wire_bonds_never_hurts() {
             continue;
         }
         tested += 1;
-        let mut mesh = StackMesh::new(&design, tiny()).expect("mesh builds");
+        let mesh = StackMesh::new(&design, tiny()).expect("mesh builds");
         let v = mesh.solve(&state, 0.5).expect("solves");
         let base_max = v.iter().cloned().fold(0.0f64, f64::max);
 
@@ -191,7 +191,7 @@ fn adding_wire_bonds_never_hurts() {
             .wire_bond(true)
             .build()
             .expect("still valid");
-        let mut mesh2 = StackMesh::new(&bonded, tiny()).expect("mesh builds");
+        let mesh2 = StackMesh::new(&bonded, tiny()).expect("mesh builds");
         let v2 = mesh2.solve(&state, 0.5).expect("solves");
         let bonded_max = v2.iter().cloned().fold(0.0f64, f64::max);
         assert!(

@@ -155,9 +155,9 @@ impl CgSolver {
 
     /// Solves `A·x = b` starting from a caller-supplied initial guess.
     ///
-    /// Warm starts matter in sweep workloads (the optimizer re-solves the
-    /// same mesh with slightly different loads), where the previous solution
-    /// typically halves the iteration count.
+    /// Warm starts pay off on a sequence of nearby right-hand sides, such
+    /// as the transient stepper's time steps, where the previous solution
+    /// is already close to the next one.
     ///
     /// # Errors
     ///

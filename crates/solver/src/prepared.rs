@@ -5,7 +5,7 @@
 
 use crate::precond::AppliedPreconditioner;
 use crate::stencil::{Operator, StencilGrid, StencilOperator};
-use crate::{vecops, CgSolution, CgSolver, CsrMatrix, DenseMatrix, Preconditioner, SolverError};
+use crate::{CgSolution, CgSolver, CsrMatrix, Preconditioner, SolverError};
 use pi3d_telemetry::par::parallel_map;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,7 +57,6 @@ pub struct PreparedSystem {
     applied: AppliedPreconditioner,
     solver: CgSolver,
     threads: usize,
-    dense_fallback_limit: usize,
     solves: AtomicU64,
 }
 
@@ -150,37 +149,17 @@ impl PreparedSystem {
             applied,
             solver,
             threads: 1,
-            dense_fallback_limit: 0,
             solves: AtomicU64::new(0),
         })
     }
 
     /// Sets how many right-hand sides [`solve_batch`](Self::solve_batch)
-    /// and [`solve_each`](Self::solve_each) solve at once. A single
-    /// [`solve`](Self::solve) always runs on the calling thread. `0` is
-    /// treated as `1`.
+    /// solves at once. A single [`solve`](Self::solve) always runs on the
+    /// calling thread. `0` is treated as `1`.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Enables a direct dense-Cholesky fallback for systems of at most
-    /// `limit` unknowns: when CG fails to converge, the solve retries
-    /// through [`DenseMatrix::cholesky`] instead of surfacing
-    /// [`SolverError::NonConverged`]. `0` (the default) disables the
-    /// fallback. The dense factorization is `O(n³)`, so the limit should
-    /// stay in the low thousands; larger systems keep the structured
-    /// error (which still carries the partial iterate).
-    #[must_use]
-    pub fn with_dense_fallback(mut self, limit: usize) -> Self {
-        self.dense_fallback_limit = limit;
-        self
-    }
-
-    /// Configured dense-fallback size limit (`0` = disabled).
-    pub fn dense_fallback_limit(&self) -> usize {
-        self.dense_fallback_limit
     }
 
     /// Attaches a [`SolveBudget`](crate::SolveBudget) to the wrapped
@@ -244,76 +223,20 @@ impl PreparedSystem {
     /// As for [`CgSolver::solve_with_guess`].
     pub fn solve(&self, rhs: &[f64], guess: Option<&[f64]>) -> Result<CgSolution, SolverError> {
         self.record_solve(1);
-        self.solve_one(rhs, guess)
-    }
-
-    /// One CG solve with the optional dense fallback on non-convergence.
-    fn solve_one(&self, rhs: &[f64], guess: Option<&[f64]>) -> Result<CgSolution, SolverError> {
-        match self
-            .solver
+        self.solver
             .solve_prepared(self.operator(), rhs, guess, &self.applied)
-        {
-            Err(SolverError::NonConverged { partial, .. })
-                if self.matrix.dim() <= self.dense_fallback_limit =>
-            {
-                self.dense_rescue(rhs, *partial)
-            }
-            other => other,
-        }
-    }
-
-    /// Direct-solve rescue path: factors the matrix densely and solves
-    /// `rhs`, keeping the failed CG run's residual trace (with the final
-    /// direct residual appended) so diagnostics survive the recovery.
-    fn dense_rescue(&self, rhs: &[f64], partial: CgSolution) -> Result<CgSolution, SolverError> {
-        let _span = pi3d_telemetry::span::span("dense_fallback");
-        let x = DenseMatrix::from_csr(&self.matrix).cholesky()?.solve(rhs)?;
-        let mut residual = vec![0.0; x.len()];
-        self.matrix.mul_vec_into(&x, &mut residual);
-        for (r, b) in residual.iter_mut().zip(rhs) {
-            *r = b - *r;
-        }
-        let norm_b = vecops::norm2(rhs);
-        let relres = if norm_b > 0.0 {
-            vecops::norm2(&residual) / norm_b
-        } else {
-            0.0
-        };
-        pi3d_telemetry::metrics::counter("solver.recovered.dense_fallback").incr(1);
-        pi3d_telemetry::debug!(
-            "dense fallback rescued a non-converged CG solve: relres {relres:.3e}"
-        );
-        let mut residual_trace = partial.residual_trace;
-        residual_trace.push(relres);
-        Ok(CgSolution {
-            x,
-            iterations: partial.iterations,
-            relative_residual: relres,
-            residual_trace,
-        })
     }
 
     /// Solves one independent right-hand side per entry of `rhs_batch`,
     /// fanning the solves across up to [`threads`](Self::threads) scoped
-    /// worker threads. Results are returned in input order; no warm starts
-    /// are used, so the output is bit-identical for every thread count.
+    /// worker threads. Each member is one cold solve on one thread and
+    /// results come back in input order, so the output is bit-identical
+    /// for every thread count.
     ///
     /// # Errors
     ///
-    /// Returns the first (by input index) solve error, if any. Use
-    /// [`solve_each`](Self::solve_each) when a failed member must not
-    /// discard its siblings' solutions.
+    /// Returns the first (by input index) solve error, if any.
     pub fn solve_batch(&self, rhs_batch: &[Vec<f64>]) -> Result<Vec<CgSolution>, SolverError> {
-        self.solve_each(rhs_batch).into_iter().collect()
-    }
-
-    /// As [`solve_batch`](Self::solve_batch), but returns one `Result` per
-    /// right-hand side instead of collapsing to the first error: a
-    /// non-converging or malformed member never poisons its siblings.
-    /// Each member is one cold solve on one thread, and up to
-    /// [`threads`](Self::threads) members run at once. Results are in
-    /// input order and bit-identical for every thread count.
-    pub fn solve_each(&self, rhs_batch: &[Vec<f64>]) -> Vec<Result<CgSolution, SolverError>> {
         {
             let _span = pi3d_telemetry::span::span("solve_batch");
             pi3d_telemetry::metrics::counter("solver.prepared.batches").incr(1);
@@ -325,8 +248,11 @@ impl PreparedSystem {
             // One trace slice per right-hand side, so the batch fan-out
             // renders as per-worker timelines in the flight recorder.
             let _rhs_slice = pi3d_telemetry::trace::span_with("solver", || format!("rhs[{index}]"));
-            self.solve_one(rhs, None)
+            self.solver
+                .solve_prepared(self.operator(), rhs, None, &self.applied)
         })
+        .into_iter()
+        .collect()
     }
 
     /// Releases the handle, returning the wrapped matrix.
@@ -452,79 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_fallback_rescues_iteration_starved_solve() {
-        let a = grid_2d(8, 8, 0.05);
-        let rhs = loads(64, 11);
-        // Two iterations cannot converge a 64-node grid; without the
-        // fallback the structured error surfaces.
-        let starved = CgSolver::new().with_max_iterations(2).with_tolerance(1e-12);
-        let system =
-            PreparedSystem::with_solver(a.clone(), Preconditioner::Jacobi, starved.clone())
-                .unwrap();
-        assert!(matches!(
-            system.solve(&rhs, None),
-            Err(SolverError::NonConverged { .. })
-        ));
-
-        let system = PreparedSystem::with_solver(a.clone(), Preconditioner::Jacobi, starved)
-            .unwrap()
-            .with_dense_fallback(64);
-        assert_eq!(system.dense_fallback_limit(), 64);
-        let sol = system.solve(&rhs, None).unwrap();
-        assert!(sol.relative_residual < 1e-10, "{}", sol.relative_residual);
-        // The rescued solution matches a properly converged CG run.
-        let reference = CgSolver::new()
-            .with_tolerance(1e-12)
-            .solve(&a, &rhs, Preconditioner::IncompleteCholesky)
-            .unwrap();
-        for (got, want) in sol.x.iter().zip(&reference.x) {
-            assert!((got - want).abs() < 1e-8, "{got} vs {want}");
-        }
-        assert!(
-            !sol.residual_trace.is_empty(),
-            "CG trace must survive the rescue"
-        );
-    }
-
-    #[test]
-    fn dense_fallback_respects_size_limit() {
-        let a = grid_2d(8, 8, 0.05);
-        let rhs = loads(64, 11);
-        let starved = CgSolver::new().with_max_iterations(2).with_tolerance(1e-12);
-        // Limit below the system size: the structured error must survive.
-        let system = PreparedSystem::with_solver(a, Preconditioner::Jacobi, starved)
-            .unwrap()
-            .with_dense_fallback(63);
-        assert!(matches!(
-            system.solve(&rhs, None),
-            Err(SolverError::NonConverged { .. })
-        ));
-    }
-
-    #[test]
-    fn solve_each_isolates_failed_members() {
-        let a = grid_2d(4, 4, 0.1);
-        let system = PreparedSystem::new(a, Preconditioner::Jacobi)
-            .unwrap()
-            .with_threads(2);
-        let batch = vec![vec![1.0; 16], vec![1.0; 3], vec![2.0; 16]];
-        let results = system.solve_each(&batch);
-        assert_eq!(results.len(), 3);
-        assert!(results[0].is_ok());
-        assert!(matches!(
-            results[1],
-            Err(SolverError::DimensionMismatch {
-                expected: 16,
-                found: 3
-            })
-        ));
-        let ok = results[2].as_ref().unwrap();
-        // Sibling solves are unaffected by the failure between them.
-        let alone = system.solve(&batch[2], None).unwrap();
-        assert_eq!(ok.x, alone.x);
-    }
-
-    #[test]
     fn cancelled_budget_drains_batch_with_typed_errors() {
         use pi3d_telemetry::CancelToken;
         let a = grid_2d(10, 10, 0.02);
@@ -535,12 +388,11 @@ mod tests {
             .unwrap()
             .with_threads(2)
             .with_budget(crate::SolveBudget::unlimited().with_cancel(token));
-        let results = system.solve_each(&batch);
-        assert_eq!(results.len(), 6);
-        for r in &results {
-            assert!(matches!(r, Err(SolverError::Cancelled { .. })), "got {r:?}");
-        }
-        // The cancelled error is not eligible for the dense fallback.
+        let result = system.solve_batch(&batch);
+        assert!(
+            matches!(result, Err(SolverError::Cancelled { .. })),
+            "got {result:?}"
+        );
         assert!(matches!(
             system.solve(&batch[0], None),
             Err(SolverError::Cancelled { .. })

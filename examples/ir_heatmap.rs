@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .parse()?;
 
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let mut analysis = IrAnalysis::new(&design, MeshOptions::default())?;
+    let analysis = IrAnalysis::new(&design, MeshOptions::default())?;
     let report = analysis.run(&state, 1.0)?;
 
     println!(

@@ -18,8 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "building IR-drop lookup table for {} ...",
         design.benchmark()
     );
-    let mut eval = platform.evaluate(&design)?;
-    let lut = build_ir_lut(&mut eval, 2)?;
+    let eval = platform.evaluate(&design)?;
+    let lut = build_ir_lut(&eval, 2)?;
     println!("tabulated {} memory states\n", lut.state_count());
 
     let workload = WorkloadSpec::paper_ddr3();

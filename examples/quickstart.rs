@@ -12,7 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("design: {}", design.benchmark());
     println!("{}", design.cost());
 
-    let mut analysis = IrAnalysis::new(&design, MeshOptions::default())?;
+    let analysis = IrAnalysis::new(&design, MeshOptions::default())?;
 
     for text in ["0-0-0-2", "2-0-0-0", "0-0-2-2", "2-2-2-2"] {
         let state: MemoryState = text.parse()?;
@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let f2f = StackDesign::builder(Benchmark::StackedDdr3OffChip)
         .bonding(BondingStyle::F2F)
         .build()?;
-    let mut f2f_analysis = IrAnalysis::new(&f2f, MeshOptions::default())?;
+    let f2f_analysis = IrAnalysis::new(&f2f, MeshOptions::default())?;
     let state: MemoryState = "0-0-0-2".parse()?;
     let f2b_ir = analysis.run(&state, 1.0)?.max_dram();
     let f2f_ir = f2f_analysis.run(&state, 1.0)?.max_dram();

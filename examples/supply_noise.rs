@@ -12,7 +12,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let state: MemoryState = "0-0-0-2".parse()?;
 
     // Combined VDD drop + VSS bounce.
-    let mut noise = SupplyNoiseAnalysis::new(&design, MeshOptions::default())?;
+    let noise = SupplyNoiseAnalysis::new(&design, MeshOptions::default())?;
     let report = noise.run(&state, 1.0)?;
     println!("state {state}:");
     println!("  VDD drop  : {:.2}", report.vdd.max_dram());
@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Current crowding through the vertical elements.
-    let mut mesh = StackMesh::new(&design, MeshOptions::default())?;
+    let mesh = StackMesh::new(&design, MeshOptions::default())?;
     let drops = mesh.solve(&state, 1.0)?;
     let currents = CurrentReport::compute(&mesh, &drops);
     println!("\ncurrent crowding:");

@@ -19,7 +19,7 @@
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-//! let mut analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
+//! let analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
 //! let report = analysis.run(&"0-0-0-2".parse()?, 1.0)?;
 //! assert!(report.max_dram().value() > 0.0);
 //! # Ok(())
@@ -42,7 +42,7 @@ pub use pi3d_telemetry as telemetry;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-/// let mut analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
+/// let analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
 /// let state: MemoryState = "0-0-0-2".parse()?;
 /// assert!(analysis.run(&state, 1.0)?.max_dram().value() > 0.0);
 /// # Ok(())

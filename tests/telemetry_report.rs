@@ -24,7 +24,7 @@ fn run_report_json_matches_the_documented_schema() {
         dram_ny: 10,
         ..MeshOptions::coarse()
     };
-    let mut analysis = IrAnalysis::new(&design, options.clone()).expect("mesh builds");
+    let analysis = IrAnalysis::new(&design, options.clone()).expect("mesh builds");
     let state: MemoryState = "0-0-0-2".parse().unwrap();
     let ir = analysis.run(&state, 1.0).expect("solve converges");
     assert!(ir.max_dram().value() > 0.0);
