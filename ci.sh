@@ -11,8 +11,22 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --offline --all-targets -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo clippy --offline --all-targets --features pi3d-bench/bench-ext -D warnings"
+# The crates/bench bench targets behind bench-ext are compiled by no
+# other stage.
+cargo clippy --offline --workspace --all-targets --features pi3d-bench/bench-ext -- -D warnings
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
+
+echo "==> examples (release)"
+# Each example must run to completion, not only compile; render_layout
+# writes its SVGs under target/artifacts.
+cargo build --release --offline --examples
+for example in quickstart ir_heatmap policy_explorer co_optimize supply_noise render_layout; do
+    ./target/release/examples/"$example" > /dev/null
+done
+echo "examples OK"
 
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace

@@ -39,9 +39,9 @@ fn bench(c: &mut Harness) {
     });
 
     let mesh = StackMesh::new(&design, bench_mesh_options()).expect("builds");
-    let drops = mesh.solve(&state, 1.0).expect("solves");
+    let solved = mesh.solve(&state, 1.0).expect("solves");
     group.bench_function("current_report", |b| {
-        b.iter(|| CurrentReport::compute(&mesh, &drops))
+        b.iter(|| CurrentReport::compute(&mesh, solved.node_drops()))
     });
 
     let loads = mesh.load_vector(&state, 1.0);

@@ -5,7 +5,7 @@ use pi3d_bench::harness::Harness;
 use pi3d_bench::{bench_mesh_options, bench_workload};
 use pi3d_core::experiments::cases::CaseSpec;
 use pi3d_core::experiments::table6::run_policy;
-use pi3d_core::{build_ir_lut, Platform};
+use pi3d_core::{build_ir_lut_from_mesh, Platform};
 use pi3d_layout::units::MilliVolts;
 use pi3d_memsim::ReadPolicy;
 
@@ -18,13 +18,13 @@ fn bench(c: &mut Harness) {
     group.sample_size(10);
     group.bench_function("lut_build_81_states", |b| {
         b.iter(|| {
-            let eval = platform.evaluate(&design).expect("design evaluates");
-            build_ir_lut(&eval, 2).expect("LUT builds")
+            let mesh = platform.evaluate(&design).expect("design evaluates");
+            build_ir_lut_from_mesh(&mesh, 2).expect("LUT builds")
         })
     });
 
-    let eval = platform.evaluate(&design).expect("design evaluates");
-    let lut = build_ir_lut(&eval, 2).expect("LUT builds");
+    let mesh = platform.evaluate(&design).expect("design evaluates");
+    let lut = build_ir_lut_from_mesh(&mesh, 2).expect("LUT builds");
     let requests = bench_workload().generate();
     group.bench_function("constraint_sweep_one_case", |b| {
         b.iter(|| {

@@ -1,13 +1,13 @@
 //! Wall-clock benchmark of the Section 5.2 IR-drop LUT build: the pre-PR
 //! per-solve path (preconditioner rebuilt on every solve, warm-started,
 //! strictly sequential) against the factor-once batch path of
-//! [`pi3d_core::build_ir_lut`] at 1 and 4 worker threads.
+//! [`pi3d_core::build_ir_lut_from_mesh`] at 1 and 4 worker threads.
 //!
 //! Also asserts, once, that the batch LUT is bit-identical across thread
 //! counts — speed must not change the table the memory controller sees.
 
 use pi3d_bench::harness::Harness;
-use pi3d_core::{build_ir_lut, Platform, LUT_ACTIVITIES};
+use pi3d_core::{build_ir_lut_from_mesh, Platform, LUT_ACTIVITIES};
 use pi3d_layout::{Benchmark, DieState, MemoryState, StackDesign};
 use pi3d_memsim::IrDropLut;
 use pi3d_mesh::{MeshOptions, StackMesh};
@@ -89,8 +89,8 @@ fn batch_lut(design: &StackDesign, threads: usize) -> IrDropLut {
         threads,
         ..MeshOptions::coarse()
     });
-    let eval = platform.evaluate(design).expect("valid design");
-    build_ir_lut(&eval, MAX_BANKS_PER_DIE).expect("lut builds")
+    let mesh = platform.evaluate(design).expect("valid design");
+    build_ir_lut_from_mesh(&mesh, MAX_BANKS_PER_DIE).expect("lut builds")
 }
 
 fn bench(c: &mut Harness) {

@@ -18,7 +18,7 @@
 //! that single elapsed time stands in as the reference sample).
 
 use pi3d_bench::harness::{bench_stats, SampleStats};
-use pi3d_core::{build_ir_lut, Platform};
+use pi3d_core::{build_ir_lut_from_mesh, Platform};
 use pi3d_layout::units::MilliVolts;
 use pi3d_layout::{Benchmark, StackDesign};
 use pi3d_memsim::{IrDropLut, MemorySimulator, ReadPolicy, SimConfig, TimingParams, WorkloadSpec};
@@ -68,9 +68,9 @@ fn main() {
 
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
     let platform = Platform::new(MeshOptions::coarse());
-    let eval = platform.evaluate(&design).expect("valid design");
-    let lut: IrDropLut =
-        build_ir_lut(&eval, SimConfig::paper_ddr3().max_powered_per_die).expect("lut builds");
+    let mesh = platform.evaluate(&design).expect("valid design");
+    let lut: IrDropLut = build_ir_lut_from_mesh(&mesh, SimConfig::paper_ddr3().max_powered_per_die)
+        .expect("lut builds");
 
     let mut workload = WorkloadSpec::paper_ddr3();
     workload.count = REQUESTS;

@@ -3,7 +3,7 @@
 
 use pi3d_bench::harness::Harness;
 use pi3d_bench::{bench_mesh_options, bench_workload};
-use pi3d_core::{build_ir_lut, Platform};
+use pi3d_core::{build_ir_lut_from_mesh, Platform};
 use pi3d_layout::units::MilliVolts;
 use pi3d_layout::{Benchmark, StackDesign};
 use pi3d_memsim::{MemorySimulator, ReadPolicy, SimConfig, TimingParams};
@@ -11,8 +11,8 @@ use pi3d_memsim::{MemorySimulator, ReadPolicy, SimConfig, TimingParams};
 fn bench(c: &mut Harness) {
     let platform = Platform::new(bench_mesh_options());
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let eval = platform.evaluate(&design).expect("design evaluates");
-    let lut = build_ir_lut(&eval, 2).expect("LUT builds");
+    let mesh = platform.evaluate(&design).expect("design evaluates");
+    let lut = build_ir_lut_from_mesh(&mesh, 2).expect("LUT builds");
     let requests = bench_workload().generate();
 
     let mut group = c.benchmark_group("table6_policy");

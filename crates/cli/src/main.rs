@@ -79,12 +79,12 @@ mod shard_cmd;
 mod trace_cmd;
 
 use pi3d_core::config;
-use pi3d_core::jobs::{config_hash_of, fnv1a64, journaled_sweep};
+use pi3d_core::jobs::{config_fingerprint, fnv1a64, journaled_sweep};
 use pi3d_core::serve::{exit_code_for, sim_stats_from_json, sim_stats_to_json, status_label};
 use pi3d_core::{
-    build_ir_lut, characterize_plan, characterize_shard, characterize_with, fault_sweep_plan,
-    run_fault_sweep_shard, run_fault_sweep_with, sim_setup, CoreError, FaultSweepOptions,
-    JobContext, Platform,
+    build_ir_lut_from_mesh, characterize_plan, characterize_shard, characterize_with,
+    fault_sweep_plan, run_fault_sweep_shard, run_fault_sweep_with, sim_setup, CoreError,
+    FaultSweepOptions, JobContext, Platform,
 };
 use pi3d_layout::units::MilliVolts;
 use pi3d_layout::{render_design_svg, Benchmark, FaultSpec, MemoryState, StackDesign};
@@ -444,9 +444,8 @@ fn analyze(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     );
 
     if args.has("decompose") {
-        let platform = Platform::new(options);
-        let eval = platform.evaluate(&design)?;
-        let report = eval.run(&state, activity)?;
+        let mesh = Platform::new(options).evaluate(&design)?;
+        let report = mesh.solve(&state, activity).map_err(CoreError::from)?;
         println!("max IR   : {:.2}", report.max_dram());
         println!("per-die vertical (supply path) vs horizontal (in-die) split:");
         for part in decompose_ir(&report) {
@@ -466,9 +465,8 @@ fn analyze(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         println!("VSS bounce: {:.2}", report.vss.max_dram());
         println!("total    : {:.2}", report.max_total());
     } else {
-        let platform = Platform::new(options);
-        let eval = platform.evaluate(&design)?;
-        let report = eval.run(&state, activity)?;
+        let mesh = Platform::new(options).evaluate(&design)?;
+        let report = mesh.solve(&state, activity).map_err(CoreError::from)?;
         println!("max IR   : {:.2}", report.max_dram());
         for die in 0..design.dram_die_count() {
             println!("  DRAM{}  : {:.2}", die + 1, report.max_die(die));
@@ -485,8 +483,8 @@ fn currents(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let state = state_of(args, &design)?;
     let activity = activity_of(args)?;
     let mesh = StackMesh::new(&design, options)?;
-    let drops = mesh.solve(&state, activity)?;
-    let report = CurrentReport::compute(&mesh, &drops);
+    let solved = mesh.solve(&state, activity)?;
+    let report = CurrentReport::compute(&mesh, solved.node_drops());
 
     if let Some(entries) = &report.supply_entries {
         println!(
@@ -538,10 +536,9 @@ fn transient(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 fn lut_command(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let (design, options) = load_design_and_options(args)?;
     let out = args.flag("out").ok_or("lut needs --out FILE")?;
-    let platform = Platform::new(options);
-    let eval = platform.evaluate(&design)?;
+    let mesh = Platform::new(options).evaluate(&design)?;
     eprintln!("building IR-drop lookup table ...");
-    let lut = build_ir_lut(&eval, SimConfig::paper_ddr3().max_powered_per_die)?;
+    let lut = build_ir_lut_from_mesh(&mesh, SimConfig::paper_ddr3().max_powered_per_die)?;
     atomic_write(Path::new(out), lut.to_text().as_bytes())?;
     println!("wrote {out} ({} states)", lut.state_count());
     Ok(())
@@ -585,10 +582,9 @@ fn simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             lut
         }
         None => {
-            let platform = Platform::new(options.clone());
-            let eval = platform.evaluate(&design)?;
+            let mesh = Platform::new(options.clone()).evaluate(&design)?;
             eprintln!("building IR-drop lookup table ...");
-            build_ir_lut(&eval, SimConfig::paper_ddr3().max_powered_per_die)?
+            build_ir_lut_from_mesh(&mesh, SimConfig::paper_ddr3().max_powered_per_die)?
         }
     };
 
@@ -612,7 +608,7 @@ fn simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // Everything a simulation's outcome depends on feeds the journal's
     // config hash (thread count deliberately excluded — results are
     // bit-identical across worker counts).
-    let config_hash = config_hash_of(&[
+    let config_hash = config_fingerprint(&[
         "simulate",
         args.flag("policy").unwrap_or("distr"),
         &format!("{}", constraint.value()),

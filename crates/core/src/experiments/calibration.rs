@@ -55,11 +55,11 @@ pub fn run(options: &MeshOptions) -> Result<Calibration, CoreError> {
         .dram_dies(1)
         .build()?;
     let platform = Platform::new(options.clone());
-    let eval = platform.evaluate(&design)?;
+    let mesh = platform.evaluate(&design)?;
     let state = MemoryState::new(vec![DieState::active(2)]);
 
-    let read = eval.run_op(&state, 1.0, OpKind::Read)?;
-    let write = eval.run_op(&state, 1.0, OpKind::Write)?;
+    let read = mesh.solve_op(&state, 1.0, OpKind::Read)?;
+    let write = mesh.solve_op(&state, 1.0, OpKind::Write)?;
 
     // Compare the full drop maps.
     let (r, w) = (read.node_drops(), write.node_drops());

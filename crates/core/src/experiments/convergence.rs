@@ -82,8 +82,8 @@ pub fn run(grids: &[usize]) -> Result<Convergence, CoreError> {
             ..MeshOptions::default()
         };
         let platform = Platform::new(options);
-        let eval = platform.evaluate(&design)?;
-        let report = eval.run(&state, 1.0)?;
+        let mesh = platform.evaluate(&design)?;
+        let report = mesh.solve(&state, 1.0)?;
         rows.push(ConvergenceRow {
             grid,
             nodes: report.registry().total_nodes(),

@@ -8,7 +8,7 @@
 use crate::error::CoreError;
 use crate::experiments::cases::CaseSpec;
 use crate::experiments::table6::run_policy;
-use crate::lut_builder::build_ir_lut;
+use crate::lut_builder::build_ir_lut_from_mesh;
 use crate::platform::Platform;
 use crate::report::TextTable;
 use pi3d_layout::units::MilliVolts;
@@ -99,9 +99,9 @@ pub fn run_with(
     let mut luts = Vec::new();
     for case in &cases {
         let design = case.build()?;
-        let eval = platform.evaluate(&design)?;
-        luts.push(build_ir_lut(
-            &eval,
+        let mesh = platform.evaluate(&design)?;
+        luts.push(build_ir_lut_from_mesh(
+            &mesh,
             SimConfig::paper_ddr3().max_powered_per_die,
         )?);
     }

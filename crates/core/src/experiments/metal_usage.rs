@@ -66,8 +66,8 @@ pub fn run(options: &MeshOptions) -> Result<MetalUsage, CoreError> {
         let design = StackDesign::builder(Benchmark::StackedDdr3OffChip)
             .pdn(PdnSpec::baseline().scaled(scale))
             .build()?;
-        let eval = platform.evaluate(&design)?;
-        let ir = eval.max_ir(&state, 1.0)?;
+        let mesh = platform.evaluate(&design)?;
+        let ir = mesh.max_ir(&state, 1.0)?;
         rows.push(MetalUsageRow {
             scale,
             max_ir_mv: ir.value(),

@@ -51,16 +51,16 @@ pub fn run(options: &MeshOptions) -> Result<MountingStudy, CoreError> {
     let state: MemoryState = "0-0-0-2".parse().expect("literal state");
 
     let off = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let off_eval = platform.evaluate(&off)?;
-    let off_chip_mv = off_eval.max_ir(&state, 1.0)?.value();
+    let off_mesh = platform.evaluate(&off)?;
+    let off_chip_mv = off_mesh.max_ir(&state, 1.0)?.value();
 
     let on = StackDesign::builder(Benchmark::StackedDdr3OnChip)
         .mounting(Mounting::OnChip {
             dedicated_tsvs: false,
         })
         .build()?;
-    let on_eval = platform.evaluate(&on)?;
-    let report = on_eval.run(&state, 1.0)?;
+    let on_mesh = platform.evaluate(&on)?;
+    let report = on_mesh.solve(&state, 1.0)?;
 
     Ok(MountingStudy {
         off_chip_mv,

@@ -4,7 +4,7 @@
 //! experiment does not.
 
 use crate::error::CoreError;
-use crate::lut_builder::build_ir_lut;
+use crate::lut_builder::build_ir_lut_from_mesh;
 use crate::platform::{sim_setup, Platform};
 use crate::report::{mv, pct, TextTable};
 use pi3d_layout::units::MilliVolts;
@@ -82,8 +82,8 @@ pub fn run(options: &MeshOptions, reads: usize) -> Result<PolicyCross, CoreError
     let mut rows = Vec::new();
     for benchmark in Benchmark::ALL {
         let design = StackDesign::baseline(benchmark);
-        let eval = platform.evaluate(&design)?;
-        let lut = build_ir_lut(&eval, SimConfig::paper_ddr3().max_powered_per_die)?;
+        let mesh = platform.evaluate(&design)?;
+        let lut = build_ir_lut_from_mesh(&mesh, SimConfig::paper_ddr3().max_powered_per_die)?;
         // The worst state the controller could ever enter, at its
         // zero-bubble rate.
         let worst = lut

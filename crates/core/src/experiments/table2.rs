@@ -90,8 +90,8 @@ pub fn run(options: &MeshOptions) -> Result<Table2, CoreError> {
             })
             .build()?;
         let cost = design.cost().total;
-        let eval = platform.evaluate(&design)?;
-        let max_ir_mv = eval.max_ir(&state, 1.0)?.value();
+        let mesh = platform.evaluate(&design)?;
+        let max_ir_mv = mesh.max_ir(&state, 1.0)?.value();
         rows.push(Table2Row {
             option,
             placement,

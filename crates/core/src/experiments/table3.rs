@@ -89,8 +89,8 @@ pub fn run(options: &MeshOptions) -> Result<Table3, CoreError> {
                 builder = builder.mounting(m);
             }
             let design = builder.build()?;
-            let eval = platform.evaluate(&design)?;
-            with.push(eval.max_ir(&state, 1.0)?.value());
+            let mesh = platform.evaluate(&design)?;
+            with.push(mesh.max_ir(&state, 1.0)?.value());
         }
         rows.push(Table3Row {
             label,

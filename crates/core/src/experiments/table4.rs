@@ -92,15 +92,15 @@ pub fn run(options: &MeshOptions) -> Result<Table4, CoreError> {
     let f2f = StackDesign::builder(Benchmark::StackedDdr3OffChip)
         .bonding(BondingStyle::F2F)
         .build()?;
-    let f2b_eval = platform.evaluate(&f2b)?;
-    let f2f_eval = platform.evaluate(&f2f)?;
+    let f2b_mesh = platform.evaluate(&f2b)?;
+    let f2f_mesh = platform.evaluate(&f2f)?;
 
     let mut rows = Vec::new();
     for text in TABLE4_STATES {
         let state: MemoryState = text.parse().expect("literal state");
         let activity = 0.5; // four banks over two dies share the bus
-        let f2b_mv = f2b_eval.max_ir(&state, activity)?.value();
-        let f2f_mv = f2f_eval.max_ir(&state, activity)?.value();
+        let f2b_mv = f2b_mesh.max_ir(&state, activity)?.value();
+        let f2f_mv = f2f_mesh.max_ir(&state, activity)?.value();
         rows.push(Table4Row {
             intra_pair_overlap: state.has_intra_pair_overlap(),
             state,

@@ -88,8 +88,8 @@ pub fn run(options: &MeshOptions) -> Result<Table5, CoreError> {
         .bonding(BondingStyle::F2F)
         .build()?;
     let model = f2b.power_model();
-    let f2b_eval = platform.evaluate(&f2b)?;
-    let f2f_eval = platform.evaluate(&f2f)?;
+    let f2b_mesh = platform.evaluate(&f2b)?;
+    let f2f_mesh = platform.evaluate(&f2f)?;
 
     let mut rows = Vec::new();
     for (text, io_activity) in TABLE5_CASES {
@@ -104,8 +104,8 @@ pub fn run(options: &MeshOptions) -> Result<Table5, CoreError> {
             .dies()
             .map(|d| model.die_power(d.active_banks, io_activity).value())
             .sum();
-        let f2b_mv = f2b_eval.max_ir(&state, io_activity)?.value();
-        let f2f_mv = f2f_eval.max_ir(&state, io_activity)?.value();
+        let f2b_mv = f2b_mesh.max_ir(&state, io_activity)?.value();
+        let f2f_mv = f2f_mesh.max_ir(&state, io_activity)?.value();
         rows.push(Table5Row {
             state,
             io_activity,

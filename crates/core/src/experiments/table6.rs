@@ -10,7 +10,7 @@
 //! | IR-aware/DistR | 75.85 (−30.6%) | 0.165 (+44.2%) | 23.98 |
 
 use crate::error::CoreError;
-use crate::lut_builder::build_ir_lut;
+use crate::lut_builder::build_ir_lut_from_mesh;
 use crate::platform::Platform;
 use crate::report::{mv, pct, TextTable};
 use pi3d_layout::units::MilliVolts;
@@ -113,8 +113,8 @@ pub fn run_with(
 ) -> Result<Table6, CoreError> {
     let platform = Platform::new(options.clone());
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let eval = platform.evaluate(&design)?;
-    let lut = build_ir_lut(&eval, SimConfig::paper_ddr3().max_powered_per_die)?;
+    let mesh = platform.evaluate(&design)?;
+    let lut = build_ir_lut_from_mesh(&mesh, SimConfig::paper_ddr3().max_powered_per_die)?;
     let requests = workload.generate();
 
     // The three policy simulations are independent; fan them across the
@@ -155,8 +155,8 @@ pub fn run_seeds(
 ) -> Result<Vec<Table6>, CoreError> {
     let platform = Platform::new(options.clone());
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let eval = platform.evaluate(&design)?;
-    let lut = build_ir_lut(&eval, SimConfig::paper_ddr3().max_powered_per_die)?;
+    let mesh = platform.evaluate(&design)?;
+    let lut = build_ir_lut_from_mesh(&mesh, SimConfig::paper_ddr3().max_powered_per_die)?;
 
     let cases: Vec<(u64, &'static str, ReadPolicy)> = seeds
         .iter()

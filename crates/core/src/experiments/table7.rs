@@ -59,10 +59,10 @@ pub fn run(options: &MeshOptions) -> Result<Table7, CoreError> {
     let mut rows = Vec::new();
     for case in CaseSpec::all() {
         let design = case.build()?;
-        let eval = platform.evaluate(&design)?;
+        let mesh = platform.evaluate(&design)?;
         rows.push(Table7Row {
             case,
-            max_ir_mv: eval.max_ir(&state, 1.0)?.value(),
+            max_ir_mv: mesh.max_ir(&state, 1.0)?.value(),
         });
     }
     Ok(Table7 { rows })

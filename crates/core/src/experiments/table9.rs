@@ -139,8 +139,8 @@ pub fn run_benchmark(
     // Baseline row.
     let space = DesignSpace::new(benchmark);
     let baseline = StackDesign::baseline(benchmark);
-    let eval = platform.evaluate(&baseline)?;
-    let measured = eval.max_ir(&space.default_state(), 1.0)?.value();
+    let mesh = platform.evaluate(&baseline)?;
+    let measured = mesh.max_ir(&space.default_state(), 1.0)?.value();
     rows.push(Table9Row {
         alpha: None,
         options: format!(

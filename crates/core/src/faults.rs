@@ -21,7 +21,7 @@
 //! [`FaultSweepOptions::threads`].
 
 use crate::error::CoreError;
-use crate::jobs::{config_hash_of, journaled_sweep, JobContext, PartialSweep};
+use crate::jobs::{config_fingerprint, journaled_sweep, JobContext, PartialSweep};
 use crate::lut_builder::build_ir_lut_from_mesh;
 use crate::platform::sim_setup;
 use crate::report::{mv, TextTable};
@@ -256,7 +256,7 @@ fn sweep_config_hash(design: &StackDesign, options: &FaultSweepOptions) -> u64 {
         threads: 1,
         ..options.mesh.clone()
     };
-    config_hash_of(&[
+    config_fingerprint(&[
         "fault_sweep",
         &format!("{design:?}"),
         &format!("{:?}", options.base),
@@ -377,20 +377,9 @@ fn run_trial(
     };
     let report = mesh.fault_report().unwrap_or_default();
     let (state, io) = probe_state(design.dram_die_count(), options.max_banks_per_die);
-    let v = mesh.solve(&state, io).map_err(MeshError::from)?;
-    let mut max = 0.0f64;
-    for (_, grid) in mesh.registry().iter() {
-        if grid.kind.is_logic() {
-            continue;
-        }
-        for iy in 0..grid.ny {
-            for ix in 0..grid.nx {
-                max = max.max(v[grid.node(ix, iy)]);
-            }
-        }
-    }
+    let max_ir = mesh.max_ir(&state, io).map_err(MeshError::from)?;
     Ok(TrialOutcome::Solved {
-        max_ir_mv: max * 1e3,
+        max_ir_mv: max_ir.value(),
         opens: report.total_opens(),
         drifted: report.drifted,
     })

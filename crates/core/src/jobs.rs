@@ -1,5 +1,6 @@
-//! Durable execution for long sweeps: append-only work journals, run
-//! budgets, cooperative cancellation, and panic-isolated fan-out.
+//! Durable execution for long sweeps: append-only work journals,
+//! wall-clock deadlines, cooperative cancellation, and panic-isolated
+//! fan-out.
 //!
 //! A multi-hour Monte Carlo fault sweep or design-space characterization
 //! should survive a SIGINT or SIGTERM, a wall-clock budget, or one
@@ -33,11 +34,11 @@
 //! # Example
 //!
 //! ```no_run
-//! use pi3d_core::jobs::{config_hash_of, journaled_sweep, JobContext};
+//! use pi3d_core::jobs::{config_fingerprint, journaled_sweep, JobContext};
 //! use pi3d_telemetry::Json;
 //!
 //! let ctx = JobContext::new().with_journal("sweep.journal");
-//! let hash = config_hash_of(&["squares", "n=4"]);
+//! let hash = config_fingerprint(&["squares", "n=4"]);
 //! let squares = journaled_sweep(
 //!     "squares",
 //!     hash,
@@ -60,7 +61,7 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Schema marker on the first line of every work journal.
 pub const JOURNAL_SCHEMA: &str = "pi3d.jobs.v1";
@@ -101,12 +102,6 @@ pub fn config_fingerprint(parts: &[&str]) -> u64 {
         joined.push('\x1f'); // unit separator: unambiguous join
     }
     fnv1a64(joined.as_bytes())
-}
-
-/// Alias of [`config_fingerprint`] under the journal subsystem's
-/// historical name; existing journal call sites use this spelling.
-pub fn config_hash_of(parts: &[&str]) -> u64 {
-    config_fingerprint(parts)
 }
 
 /// Per-entry key: ties a record to both the run configuration and its
@@ -412,58 +407,6 @@ impl Journal {
     /// Path of the journal file.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-}
-
-/// Resource limits for one run: wall-clock deadline, CG iteration cap,
-/// and simulated-cycle cap.
-///
-/// This is a *carrier* the CLI threads down into the layers that enforce
-/// each limit: the deadline lands in [`JobContext`] (checked between
-/// work units) and in [`pi3d_solver::SolveBudget`] (checked inside the
-/// CG iteration), the iteration cap in the CG solver configuration, and
-/// the cycle cap in `SimConfig::max_cycles` of the memory simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RunBudget {
-    /// Wall-clock allowance for the whole run (`None` = unlimited).
-    pub deadline: Option<Duration>,
-    /// Cap on CG iterations per solve (`None` = solver default).
-    pub max_cg_iterations: Option<usize>,
-    /// Cap on simulated memory-controller cycles (`0` = unlimited).
-    pub max_sim_cycles: u64,
-}
-
-impl RunBudget {
-    /// No limits at all.
-    pub fn unlimited() -> Self {
-        RunBudget::default()
-    }
-
-    /// Sets the wall-clock allowance.
-    #[must_use]
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the per-solve CG iteration cap.
-    #[must_use]
-    pub fn with_max_cg_iterations(mut self, iterations: usize) -> Self {
-        self.max_cg_iterations = Some(iterations);
-        self
-    }
-
-    /// Sets the simulated-cycle cap (`0` = unlimited).
-    #[must_use]
-    pub fn with_max_sim_cycles(mut self, cycles: u64) -> Self {
-        self.max_sim_cycles = cycles;
-        self
-    }
-
-    /// Converts the relative allowance into an absolute deadline starting
-    /// now.
-    pub fn starts_now(&self) -> Option<Instant> {
-        self.deadline.map(|d| Instant::now() + d)
     }
 }
 
@@ -971,6 +914,7 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pi3d-jobs-{}-{name}", std::process::id()))
@@ -984,7 +928,7 @@ mod tests {
     ) -> Result<PartialSweep<u64>, CoreError> {
         journaled_sweep(
             "squares",
-            config_hash_of(&["squares"]),
+            config_fingerprint(&["squares"]),
             items,
             threads,
             ctx,
@@ -1034,11 +978,6 @@ mod tests {
         assert_eq!(config_fingerprint(&["a", "b"]), 0xe8bc_b182_3051_3c4a);
         assert_eq!(config_fingerprint(&["ab"]), 0xe720_0e19_0542_0ecf);
         assert_ne!(config_fingerprint(&["a", "b"]), config_fingerprint(&["ab"]));
-        // The journal-facing alias is the same function.
-        assert_eq!(
-            config_hash_of(&["squares", "n=4"]),
-            config_fingerprint(&["squares", "n=4"])
-        );
     }
 
     #[test]
@@ -1142,7 +1081,7 @@ mod tests {
             .lines()
             .map(str::to_owned)
             .collect();
-        let hash = config_hash_of(&["squares"]);
+        let hash = config_fingerprint(&["squares"]);
         let record = Json::parse(&lines[2]).unwrap();
         let unit = record.get("unit").and_then(Json::as_num).unwrap() as usize;
         let wrong_key = format!("{:016x}", unit_key(hash, unit + 1));
@@ -1181,7 +1120,7 @@ mod tests {
     #[test]
     fn shard_slices_partition_the_unit_space() {
         let items: Vec<u64> = (0..20).collect();
-        let hash = config_hash_of(&["squares"]);
+        let hash = config_fingerprint(&["squares"]);
         for shards in [1usize, 2, 3, 4] {
             let mut seen = vec![0usize; items.len()];
             let mut total_scope = 0;
@@ -1285,7 +1224,7 @@ mod tests {
 
         let err = journaled_sweep(
             "squares",
-            config_hash_of(&["squares", "different-seed"]),
+            config_fingerprint(&["squares", "different-seed"]),
             &[1u64, 2, 3],
             1,
             &ctx,
@@ -1298,7 +1237,7 @@ mod tests {
 
         let err = journaled_sweep(
             "cubes",
-            config_hash_of(&["squares"]),
+            config_fingerprint(&["squares"]),
             &[1u64, 2, 3],
             1,
             &ctx,
@@ -1347,7 +1286,7 @@ mod tests {
         let items: Vec<u64> = (0..32).collect();
         let err = journaled_sweep(
             "squares",
-            config_hash_of(&["squares"]),
+            config_fingerprint(&["squares"]),
             &items,
             1,
             &ctx,
@@ -1401,7 +1340,7 @@ mod tests {
         let run = |calls: &AtomicUsize, poison: bool| {
             journaled_sweep(
                 "squares",
-                config_hash_of(&["squares"]),
+                config_fingerprint(&["squares"]),
                 &items,
                 3,
                 &ctx,
@@ -1434,19 +1373,6 @@ mod tests {
     }
 
     #[test]
-    fn run_budget_carries_limits() {
-        let b = RunBudget::unlimited()
-            .with_deadline(Duration::from_secs(5))
-            .with_max_cg_iterations(100)
-            .with_max_sim_cycles(1_000);
-        assert_eq!(b.deadline, Some(Duration::from_secs(5)));
-        assert_eq!(b.max_cg_iterations, Some(100));
-        assert_eq!(b.max_sim_cycles, 1_000);
-        assert!(b.starts_now().is_some());
-        assert_eq!(RunBudget::unlimited().starts_now(), None);
-    }
-
-    #[test]
     fn job_context_builds_an_equivalent_solve_budget() {
         let plain = JobContext::new();
         assert!(plain.solve_budget().is_unlimited());
@@ -1470,7 +1396,7 @@ mod tests {
         let items: Vec<u64> = (0..4).collect();
         let err = journaled_sweep(
             "midunit",
-            config_hash_of(&["midunit"]),
+            config_fingerprint(&["midunit"]),
             &items,
             1,
             &ctx,

@@ -3,10 +3,11 @@
 //!
 //! `pi3d-core` ties the other crates together:
 //!
-//! * [`Platform`] / [`DesignEvaluation`] — turn a
-//!   [`pi3d_layout::StackDesign`] into IR-drop numbers via the R-Mesh.
-//! * [`build_ir_lut`] — pre-compute the IR-drop lookup table the memory
-//!   controller schedules against (Section 5.2).
+//! * [`Platform`] — turns a [`pi3d_layout::StackDesign`] into its R-Mesh,
+//!   a [`pi3d_mesh::StackMesh`] that answers the design's IR-drop
+//!   queries.
+//! * [`build_ir_lut_from_mesh`] — pre-computes the IR-drop lookup table
+//!   the memory controller schedules against (Section 5.2).
 //! * [`RegressionModel`] / [`characterize`] / [`Characterization::optimize`]
 //!   — the Section 6 regression-accelerated design-space search minimizing
 //!   `IR-drop^α × Cost^(1−α)`.
@@ -23,9 +24,9 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let platform = Platform::new(MeshOptions::coarse());
 //! let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-//! let eval = platform.evaluate(&design)?;
-//! let ir = eval.max_ir(&"0-0-0-2".parse()?, 1.0)?;
-//! let objective = ir_cost(ir.value(), eval.cost().total, 0.3);
+//! let mesh = platform.evaluate(&design)?;
+//! let ir = mesh.max_ir(&"0-0-0-2".parse()?, 1.0)?;
+//! let objective = ir_cost(ir.value(), design.cost().total, 0.3);
 //! assert!(objective > 0.0);
 //! # Ok(())
 //! # }
@@ -56,13 +57,13 @@ pub use faults::{
     FaultLevelSummary, FaultSweepOptions, FaultSweepReport, FaultTrial, PolicyUnderFaults,
     TrialOutcome,
 };
-pub use jobs::{config_fingerprint, unit_key, JobContext, Journal, JournalMode, RunBudget};
-pub use lut_builder::{build_ir_lut, build_ir_lut_from_mesh, LUT_ACTIVITIES};
+pub use jobs::{config_fingerprint, unit_key, JobContext, Journal, JournalMode};
+pub use lut_builder::{build_ir_lut_from_mesh, LUT_ACTIVITIES};
 pub use optimize::{
     characterize, characterize_plan, characterize_shard, characterize_with, ir_cost, BestSolution,
     Characterization, ComboModel, ParetoPoint,
 };
-pub use platform::{sim_setup, DesignEvaluation, Platform};
+pub use platform::{sim_setup, Platform};
 pub use regression::{ir_features, LogIrModel, RegressionModel};
 pub use shard::{
     merge_shard_journals, run_sharded, HeartbeatGuard, MergeStats, QuarantinedUnit, ShardOptions,

@@ -1,5 +1,4 @@
 use crate::error::CoreError;
-use crate::platform::DesignEvaluation;
 use pi3d_layout::units::MilliVolts;
 use pi3d_layout::{DieState, MemoryState};
 use pi3d_memsim::IrDropLut;
@@ -13,6 +12,11 @@ pub const LUT_ACTIVITIES: [f64; 5] = [0.10, 0.25, 1.0 / 3.0, 0.5, 1.0];
 /// Builds the IR-drop lookup table of Section 5.2: the max IR drop of
 /// every memory state with up to `max_banks_per_die` powered banks per
 /// die, at each tabulated I/O activity, using the design's R-Mesh.
+///
+/// The mesh may come from [`Platform::evaluate`](crate::Platform::evaluate)
+/// or straight from [`StackMesh::new`], as the fault-injected meshes of a
+/// [`fault sweep`](crate::run_fault_sweep) do; the table reflects whatever
+/// defects the mesh was assembled with.
 ///
 /// Bank locations use the paper's default worst case (group `A`), matching
 /// the conservative table the memory controller schedules against.
@@ -44,35 +48,19 @@ pub const LUT_ACTIVITIES: [f64; 5] = [0.10, 0.25, 1.0 / 3.0, 0.5, 1.0];
 /// # Examples
 ///
 /// ```no_run
-/// use pi3d_core::{build_ir_lut, Platform};
+/// use pi3d_core::{build_ir_lut_from_mesh, Platform};
 /// use pi3d_layout::{Benchmark, StackDesign};
 /// use pi3d_mesh::MeshOptions;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let platform = Platform::new(MeshOptions::coarse());
 /// let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-/// let eval = platform.evaluate(&design)?;
-/// let lut = build_ir_lut(&eval, 2)?;
+/// let mesh = platform.evaluate(&design)?;
+/// let lut = build_ir_lut_from_mesh(&mesh, 2)?;
 /// assert!(lut.lookup(&[0, 0, 0, 2], 1.0).is_some());
 /// # Ok(())
 /// # }
 /// ```
-pub fn build_ir_lut(
-    eval: &DesignEvaluation,
-    max_banks_per_die: usize,
-) -> Result<IrDropLut, CoreError> {
-    build_ir_lut_from_mesh(eval.analysis().mesh(), max_banks_per_die)
-}
-
-/// As [`build_ir_lut`], building directly from a [`StackMesh`] — the
-/// entry point for meshes that did not come from a
-/// [`Platform`](crate::Platform) evaluation, such as the fault-injected
-/// meshes of a [`fault sweep`](crate::run_fault_sweep). The resulting
-/// table reflects whatever defects the mesh was assembled with.
-///
-/// # Errors
-///
-/// As for [`build_ir_lut`].
 pub fn build_ir_lut_from_mesh(
     mesh: &StackMesh,
     max_banks_per_die: usize,
@@ -191,9 +179,9 @@ mod tests {
     fn lut_build_covers_all_nonidle_states() {
         let platform = Platform::new(MeshOptions::coarse());
         let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-        let eval = platform.evaluate(&design).unwrap();
+        let mesh = platform.evaluate(&design).unwrap();
         // Cap at 1 bank per die to keep the test fast: 2^4 - 1 states.
-        let lut = build_ir_lut(&eval, 1).unwrap();
+        let lut = build_ir_lut_from_mesh(&mesh, 1).unwrap();
         assert_eq!(lut.state_count(), 15);
         // Monotonic in activity for a fixed state.
         let low = lut.lookup(&[0, 0, 0, 1], 0.25).unwrap();

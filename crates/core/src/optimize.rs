@@ -1,6 +1,6 @@
 use crate::design_space::{CategoricalCombo, DesignPoint, DesignSpace};
 use crate::error::CoreError;
-use crate::jobs::{config_hash_of, journaled_sweep, JobContext, PartialSweep};
+use crate::jobs::{config_fingerprint, journaled_sweep, JobContext, PartialSweep};
 use crate::platform::Platform;
 use crate::regression::{LogIrModel, RegressionModel};
 use pi3d_layout::Benchmark;
@@ -81,7 +81,7 @@ fn characterize_config_hash(platform: &Platform, benchmark: Benchmark) -> u64 {
         threads: 1,
         ..platform.options().clone()
     };
-    config_hash_of(&["characterize", &benchmark.to_string(), &format!("{mesh:?}")])
+    config_fingerprint(&["characterize", &benchmark.to_string(), &format!("{mesh:?}")])
 }
 
 /// Journal payload of one fitted combo: the log-space coefficients plus
@@ -258,8 +258,8 @@ fn fit_combo(
             for &tc in &space.tc_samples() {
                 let point = DesignPoint { m2, m3, tc, combo };
                 let design = point.to_design(benchmark)?;
-                let eval = platform.evaluate(&design)?;
-                let ir = eval.max_ir(state, 1.0)?;
+                let mesh = platform.evaluate(&design)?;
+                let ir = mesh.max_ir(state, 1.0)?;
                 samples.push((m2, m3, tc as f64));
                 targets.push(ir.value());
             }
@@ -345,8 +345,8 @@ impl Characterization {
 
         // Verify with the real mesh (the Table 9 "R-Mesh" column).
         let design = point.to_design(self.benchmark)?;
-        let eval = platform.evaluate(&design)?;
-        let measured = eval.max_ir(&self.space.default_state(), 1.0)?;
+        let mesh = platform.evaluate(&design)?;
+        let measured = mesh.max_ir(&self.space.default_state(), 1.0)?;
 
         Ok(BestSolution {
             point,

@@ -1,15 +1,16 @@
 use crate::error::CoreError;
-use pi3d_layout::units::MilliVolts;
-use pi3d_layout::{Benchmark, CostBreakdown, MemoryState, OpKind, StackDesign};
+use pi3d_layout::{Benchmark, StackDesign};
 use pi3d_memsim::{SimConfig, TimingParams, WorkloadSpec};
-use pi3d_mesh::{IrAnalysis, IrDropReport, MeshOptions};
+use pi3d_mesh::{MeshOptions, StackMesh};
 
-/// The cross-domain evaluation platform: builds R-Meshes for designs and
-/// evaluates IR drop, cost, and (through `pi3d-memsim`) performance.
+/// The cross-domain evaluation platform: builds the R-Mesh of each design
+/// it is handed, with one set of [`MeshOptions`].
 ///
-/// A `Platform` carries only configuration; per-design state lives in the
-/// [`DesignEvaluation`] it hands out, so sweeps can hold many designs at
-/// once.
+/// A `Platform` carries only configuration. Per-design state lives in the
+/// [`StackMesh`] it hands out, the one handle that answers every IR-drop
+/// query about its design ([`StackMesh::solve`], [`StackMesh::max_ir`],
+/// and [`build_ir_lut_from_mesh`](crate::build_ir_lut_from_mesh)), so
+/// sweeps can hold many designs at once.
 ///
 /// # Examples
 ///
@@ -21,8 +22,8 @@ use pi3d_mesh::{IrAnalysis, IrDropReport, MeshOptions};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let platform = Platform::new(MeshOptions::coarse());
 /// let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-/// let eval = platform.evaluate(&design)?;
-/// let report = eval.run(&"0-0-0-2".parse()?, 1.0)?;
+/// let mesh = platform.evaluate(&design)?;
+/// let report = mesh.solve(&"0-0-0-2".parse()?, 1.0)?;
 /// assert!(report.max_dram().value() > 0.0);
 /// # Ok(())
 /// # }
@@ -43,19 +44,15 @@ impl Platform {
         &self.options
     }
 
-    /// Builds the R-Mesh for a design and returns an evaluation handle.
+    /// Builds and factors the R-Mesh of a design. The design needs no
+    /// further check: [`StackDesign`]'s only constructor, its builder,
+    /// validates it.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Layout`] for invalid designs and
-    /// [`CoreError::Solver`] for mesh-assembly failures.
-    pub fn evaluate(&self, design: &StackDesign) -> Result<DesignEvaluation, CoreError> {
-        design.validate()?;
-        let analysis = IrAnalysis::new(design, self.options.clone())?;
-        Ok(DesignEvaluation {
-            design: design.clone(),
-            analysis,
-        })
+    /// Returns [`CoreError::Mesh`] for mesh-assembly failures.
+    pub fn evaluate(&self, design: &StackDesign) -> Result<StackMesh, CoreError> {
+        Ok(StackMesh::new(design, self.options.clone())?)
     }
 }
 
@@ -86,89 +83,27 @@ pub fn sim_setup(design: &StackDesign) -> (TimingParams, SimConfig, WorkloadSpec
     (timing, config, workload)
 }
 
-/// A design with its assembled R-Mesh, ready for repeated state solves.
-///
-/// Every solve is one cold solve of the mesh, so an evaluation gives the
-/// same answer for a state whatever it solved before, and can be shared
-/// across threads.
-#[derive(Debug)]
-pub struct DesignEvaluation {
-    design: StackDesign,
-    analysis: IrAnalysis,
-}
-
-impl DesignEvaluation {
-    /// The evaluated design.
-    pub fn design(&self) -> &StackDesign {
-        &self.design
-    }
-
-    /// Full IR-drop analysis of one memory state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver non-convergence.
-    pub fn run(&self, state: &MemoryState, io_activity: f64) -> Result<IrDropReport, CoreError> {
-        Ok(self.analysis.run(state, io_activity)?)
-    }
-
-    /// Full analysis for an explicit operation kind (read vs write).
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver non-convergence.
-    pub fn run_op(
-        &self,
-        state: &MemoryState,
-        io_activity: f64,
-        op: OpKind,
-    ) -> Result<IrDropReport, CoreError> {
-        Ok(self.analysis.run_op(state, io_activity, op)?)
-    }
-
-    /// Maximum DRAM IR drop of one state — the headline metric.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver non-convergence.
-    pub fn max_ir(&self, state: &MemoryState, io_activity: f64) -> Result<MilliVolts, CoreError> {
-        Ok(self.run(state, io_activity)?.max_dram())
-    }
-
-    /// The Table 8 cost of the design.
-    pub fn cost(&self) -> CostBreakdown {
-        self.design.cost()
-    }
-
-    /// Access to the underlying analysis.
-    pub fn analysis(&self) -> &IrAnalysis {
-        &self.analysis
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use pi3d_layout::Benchmark;
+    use pi3d_layout::{MemoryState, OpKind};
 
     #[test]
     fn platform_round_trip() {
         let platform = Platform::new(MeshOptions::coarse());
         let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-        let eval = platform.evaluate(&design).expect("valid design");
+        let mesh = platform.evaluate(&design).expect("valid design");
         let state: MemoryState = "0-0-0-2".parse().unwrap();
-        let ir = eval.max_ir(&state, 1.0).unwrap();
+        let ir = mesh.max_ir(&state, 1.0).unwrap();
         assert!(ir.value() > 5.0 && ir.value() < 100.0, "IR {ir}");
-        assert!(eval.cost().total > 0.0);
+        assert!(mesh.design().cost().total > 0.0);
     }
 
     #[test]
-    fn invalid_design_is_rejected() {
+    fn distributed_tsv_hmc_design_evaluates() {
         use pi3d_layout::{TsvConfig, TsvPlacement};
         let platform = Platform::default();
-        // Bypass builder validation by mutating via builder with a valid
-        // config, then evaluating a conflicting benchmark directly.
         let design = StackDesign::builder(Benchmark::Hmc)
             .tsv(TsvConfig::new(160, TsvPlacement::Distributed).unwrap())
             .build()
@@ -180,10 +115,13 @@ mod tests {
     fn write_op_changes_the_answer_slightly() {
         let platform = Platform::new(MeshOptions::coarse());
         let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-        let eval = platform.evaluate(&design).unwrap();
+        let mesh = platform.evaluate(&design).unwrap();
         let state: MemoryState = "0-0-0-2".parse().unwrap();
-        let read = eval.run_op(&state, 1.0, OpKind::Read).unwrap().max_dram();
-        let write = eval.run_op(&state, 1.0, OpKind::Write).unwrap().max_dram();
+        let read = mesh.solve_op(&state, 1.0, OpKind::Read).unwrap().max_dram();
+        let write = mesh
+            .solve_op(&state, 1.0, OpKind::Write)
+            .unwrap()
+            .max_dram();
         let rel = (read.value() - write.value()).abs() / read.value();
         assert!(rel < 0.10, "read {read} vs write {write}");
         assert!(read != write);

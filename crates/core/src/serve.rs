@@ -8,12 +8,12 @@
 //! what it returns* lives here so it can be tested without a socket.
 //!
 //! * [`ServeState`] — the long-lived server state: a bounded,
-//!   size-accounted LRU cache ([`ServeState::cache_stats`]) of prepared
-//!   design evaluations (each holding an `Arc`-shared factored
-//!   [`pi3d_solver::PreparedSystem`]), IR-drop LUTs, and design-space
-//!   characterizations, keyed by [`config_fingerprint`] of the canonical
-//!   request configuration (thread counts excluded, like journal
-//!   hashes).
+//!   size-accounted LRU cache ([`ServeState::cache_stats`]) of factored
+//!   design meshes (each an `Arc`-shared [`StackMesh`], the same handle
+//!   every other layer solves a design through), IR-drop LUTs, and
+//!   design-space characterizations, keyed by [`config_fingerprint`] of
+//!   the canonical request configuration (thread counts excluded, like
+//!   journal hashes).
 //! * [`ServeState::handle_request`] — executes one request (`solve`,
 //!   `simulate`, `optimize`, `ping`, `stats`, `shutdown`) and returns
 //!   the response document. Responses to analysis requests are
@@ -29,8 +29,7 @@
 //!
 //! Cancellation and deadlines reuse the durable-execution machinery:
 //! each request runs under a [`JobContext`] carrying the server's
-//! [`CancelToken`] plus an optional per-request deadline from
-//! [`RunBudget`](crate::RunBudget)-style wall-clock budgets; a SIGINT
+//! [`CancelToken`] plus an optional per-request wall-clock deadline; a SIGINT
 //! drains in-flight requests and the daemon exits 130, a SIGTERM does
 //! the same but exits 143 (see [`pi3d_telemetry::cancel::latched_signal`]).
 //!
@@ -49,9 +48,9 @@ use crate::optimize::{characterize_with, Characterization};
 use crate::platform::{sim_setup, Platform};
 use crate::{build_ir_lut_from_mesh, JobContext};
 use pi3d_layout::units::MilliVolts;
-use pi3d_layout::{DieState, MemoryState, StackDesign};
+use pi3d_layout::{DieState, MemoryState};
 use pi3d_memsim::{IrDropLut, MemorySimulator, ReadPolicy, SimStats, SimulateError};
-use pi3d_mesh::{IrAnalysis, MeshOptions};
+use pi3d_mesh::{MeshOptions, StackMesh};
 use pi3d_solver::SolverError;
 use pi3d_telemetry::cancel::{latched_signal, SIGTERM};
 use pi3d_telemetry::par::panic_message;
@@ -743,23 +742,16 @@ impl Breaker {
 // Size-accounted LRU cache with single-flight builds.
 // ---------------------------------------------------------------------------
 
-/// One cached artifact. Prepared design evaluations carry the factored
-/// system (`Arc`-shared across worker threads); LUTs and
-/// characterizations are the derived artifacts the `simulate` and
-/// `optimize` handlers reuse.
+/// One cached artifact. A design's mesh is parsed, assembled and
+/// factored once, then solved immutably (every solve is cold) by every
+/// request that hits it, so cached and fresh solves are bit-identical; it
+/// is `Arc`-shared across worker threads. LUTs and characterizations are
+/// the derived artifacts the `simulate` and `optimize` handlers reuse.
 #[derive(Clone)]
 enum CacheValue {
-    Design(Arc<DesignEntry>),
+    Design(Arc<StackMesh>),
     Lut(Arc<IrDropLut>),
     Characterization(Arc<Characterization>),
-}
-
-/// A design parsed, meshed, and factored once; solved immutably (every
-/// solve is cold) by every request that hits it, so cached and fresh
-/// solves are bit-identical.
-struct DesignEntry {
-    design: StackDesign,
-    analysis: IrAnalysis,
 }
 
 struct CacheEntry {
@@ -912,8 +904,7 @@ impl ServeCache {
 /// column indices, row pointers) plus the factored preconditioner of
 /// comparable sparsity plus per-node working vectors. A deliberate
 /// overestimate — eviction should fire early, not late.
-fn design_entry_bytes(entry: &DesignEntry) -> usize {
-    let mesh = entry.analysis.mesh();
+fn design_entry_bytes(mesh: &StackMesh) -> usize {
     mesh.matrix().nnz() * 40 + mesh.node_count() * 64 + 4096
 }
 
@@ -1404,9 +1395,9 @@ impl ServeState {
     }
 
     /// Parses the request's inline design config and returns the cached
-    /// (or freshly built) prepared evaluation for it, plus its cache
-    /// key for derived artifacts.
-    fn design_entry(&self, request: &Json) -> Result<(Arc<DesignEntry>, u64), Fail> {
+    /// (or freshly built) factored mesh for it, plus its cache key for
+    /// derived artifacts.
+    fn design_mesh(&self, request: &Json) -> Result<(Arc<StackMesh>, u64), Fail> {
         let text = request
             .get("config")
             .and_then(Json::as_str)
@@ -1431,14 +1422,13 @@ impl ServeState {
                     ));
                 }
             }
-            let analysis =
-                IrAnalysis::new(&design, options.clone()).map_err(|e| Fail::of("mesh", &e))?;
-            let entry = Arc::new(DesignEntry { design, analysis });
-            let bytes = design_entry_bytes(&entry);
-            Ok((CacheValue::Design(entry), bytes))
+            let mesh =
+                StackMesh::new(&design, options.clone()).map_err(|e| Fail::of("mesh", &e))?;
+            let bytes = design_entry_bytes(&mesh);
+            Ok((CacheValue::Design(Arc::new(mesh)), bytes))
         })?;
         match value {
-            CacheValue::Design(entry) => Ok((entry, key)),
+            CacheValue::Design(mesh) => Ok((mesh, key)),
             _ => Err(Fail::bad_request("cache", "cache kind mismatch")),
         }
     }
@@ -1446,7 +1436,7 @@ impl ServeState {
     /// The cached (or freshly built) superposition LUT for a design.
     fn lut_for(
         &self,
-        entry: &Arc<DesignEntry>,
+        mesh: &Arc<StackMesh>,
         design_key: u64,
         max_banks: usize,
     ) -> Result<Arc<IrDropLut>, Fail> {
@@ -1455,10 +1445,9 @@ impl ServeState {
             &format!("{design_key:016x}"),
             &max_banks.to_string(),
         ]);
-        let entry = Arc::clone(entry);
+        let mesh = Arc::clone(mesh);
         let value = self.cached_build(key, move || {
-            let lut = build_ir_lut_from_mesh(entry.analysis.mesh(), max_banks)
-                .map_err(|e| Fail::of("lut", &e))?;
+            let lut = build_ir_lut_from_mesh(&mesh, max_banks).map_err(|e| Fail::of("lut", &e))?;
             let bytes = lut_bytes(&lut);
             Ok((CacheValue::Lut(Arc::new(lut)), bytes))
         })?;
@@ -1476,8 +1465,9 @@ impl ServeState {
     fn solve(&self, request: &Json) -> Result<Json, Fail> {
         let ctx = self.request_ctx(request)?;
         self.check_budget(&ctx, "solve")?;
-        let (entry, _key) = self.design_entry(request)?;
+        let (mesh, _key) = self.design_mesh(request)?;
         self.check_budget(&ctx, "solve")?;
+        let design = mesh.design();
 
         let state: MemoryState = match request.get("state") {
             Some(j) => j
@@ -1486,7 +1476,7 @@ impl ServeState {
                 .parse()
                 .map_err(|e: pi3d_layout::ParseMemoryStateError| Fail::of("parse", &e))?,
             None => {
-                let dies = entry.design.dram_die_count();
+                let dies = design.dram_die_count();
                 MemoryState::idle(dies).with_die(dies - 1, DieState::active(2))
             }
         };
@@ -1499,21 +1489,20 @@ impl ServeState {
             None => 1.0,
         };
 
-        let report = entry
-            .analysis
-            .run(&state, activity)
+        let report = mesh
+            .solve(&state, activity)
             .map_err(|e| Fail::of("solve", &e))?;
-        let per_die: Vec<Json> = (0..entry.design.dram_die_count())
+        let per_die: Vec<Json> = (0..design.dram_die_count())
             .map(|die| f64_to_json(report.max_die(die).value()))
             .collect();
         Ok(Json::obj([
-            ("benchmark", Json::str(entry.design.benchmark().to_string())),
+            ("benchmark", Json::str(design.benchmark().to_string())),
             ("state", Json::str(state.to_string())),
             ("activity", f64_to_json(activity)),
             ("max_dram_mv", f64_to_json(report.max_dram().value())),
             ("max_logic_mv", f64_to_json(report.max_logic().value())),
             ("per_die_mv", Json::Arr(per_die)),
-            ("cost", f64_to_json(entry.design.cost().total)),
+            ("cost", f64_to_json(design.cost().total)),
         ]))
     }
 
@@ -1524,7 +1513,7 @@ impl ServeState {
     fn simulate(&self, request: &Json) -> Result<Json, Fail> {
         let ctx = self.request_ctx(request)?;
         self.check_budget(&ctx, "simulate")?;
-        let (entry, design_key) = self.design_entry(request)?;
+        let (mesh, design_key) = self.design_mesh(request)?;
 
         let constraint = MilliVolts(match request.get("constraint") {
             Some(j) => f64_from_json(j)
@@ -1558,8 +1547,8 @@ impl ServeState {
             None => 10_000,
         };
 
-        let (timing, mut sim_config, mut workload) = sim_setup(&entry.design);
-        let lut = self.lut_for(&entry, design_key, sim_config.max_powered_per_die)?;
+        let (timing, mut sim_config, mut workload) = sim_setup(mesh.design());
+        let lut = self.lut_for(&mesh, design_key, sim_config.max_powered_per_die)?;
         self.check_budget(&ctx, "simulate")?;
 
         workload.count = reads;

@@ -995,7 +995,7 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::jobs::{config_hash_of, journaled_sweep, JobContext, PartialSweep};
+    use crate::jobs::{config_fingerprint, journaled_sweep, JobContext, PartialSweep};
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pi3d-shard-{}-{name}", std::process::id()))
@@ -1011,7 +1011,7 @@ mod tests {
                     .with_shard(index, shards);
                 journaled_sweep(
                     "squares",
-                    config_hash_of(&["squares"]),
+                    config_fingerprint(&["squares"]),
                     items,
                     2,
                     &ctx,
@@ -1028,7 +1028,7 @@ mod tests {
     #[test]
     fn merged_journal_resumes_byte_identically_to_single_process() {
         let items: Vec<u64> = (0..17).collect();
-        let hash = config_hash_of(&["squares"]);
+        let hash = config_fingerprint(&["squares"]);
         let single = temp_path("merge-single");
         let _ = std::fs::remove_file(&single);
         let ctx = JobContext::new().with_journal(&single);
@@ -1125,8 +1125,8 @@ mod tests {
         // Hash mismatch across shards: forge the *second* input's header
         // (its header cross-check runs before its records are parsed).
         let forged = b.replacen(
-            &format!("{:016x}", config_hash_of(&["squares"])),
-            &format!("{:016x}", config_hash_of(&["cubes"])),
+            &format!("{:016x}", config_fingerprint(&["squares"])),
+            &format!("{:016x}", config_fingerprint(&["cubes"])),
             1,
         );
         std::fs::write(&inputs[1], forged).unwrap();
@@ -1229,7 +1229,7 @@ mod tests {
             2,
             &base,
             "squares",
-            config_hash_of(&["squares"]),
+            config_fingerprint(&["squares"]),
             items.len(),
             WorkerCommand {
                 program: PathBuf::from("/bin/sh"),
@@ -1246,7 +1246,7 @@ mod tests {
         // Merged journal resumes cleanly.
         let resumed = journaled_sweep(
             "squares",
-            config_hash_of(&["squares"]),
+            config_fingerprint(&["squares"]),
             &items,
             1,
             &JobContext::new().with_resume(&base),
@@ -1281,7 +1281,7 @@ mod tests {
             1,
             &base,
             "squares",
-            config_hash_of(&["squares"]),
+            config_fingerprint(&["squares"]),
             items.len(),
             WorkerCommand {
                 program: PathBuf::from("/bin/sh"),
@@ -1308,7 +1308,7 @@ mod tests {
             1,
             &base,
             "squares",
-            config_hash_of(&["squares"]),
+            config_fingerprint(&["squares"]),
             items.len(),
             WorkerCommand {
                 program: PathBuf::from("/bin/sh"),

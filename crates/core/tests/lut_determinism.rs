@@ -1,6 +1,6 @@
 //! The Section 5.2 IR-drop LUT must not depend on how many worker threads
-//! built it: `build_ir_lut` solves its superposition basis through the
-//! batch API, and this test pins two contracts:
+//! built it: `build_ir_lut_from_mesh` solves its superposition basis
+//! through the batch API, and this test pins two contracts:
 //!
 //! 1. the table is *bit-identical* at 1 and 4 threads, and bit-identical
 //!    to a build whose basis is solved strictly sequentially through
@@ -8,7 +8,7 @@
 //! 2. the superposed values agree with direct per-case solves to solver
 //!    tolerance (the superposition is a refactoring, not an approximation).
 
-use pi3d_core::{build_ir_lut, Platform, LUT_ACTIVITIES};
+use pi3d_core::{build_ir_lut_from_mesh, Platform, LUT_ACTIVITIES};
 use pi3d_layout::{Benchmark, DieState, MemoryState, StackDesign};
 use pi3d_mesh::MeshOptions;
 
@@ -20,8 +20,8 @@ fn lut_is_bit_identical_across_thread_counts() {
 
     let reference = {
         let platform = Platform::new(MeshOptions::coarse());
-        let eval = platform.evaluate(&design).unwrap();
-        build_ir_lut(&eval, MAX_BANKS).unwrap()
+        let mesh = platform.evaluate(&design).unwrap();
+        build_ir_lut_from_mesh(&mesh, MAX_BANKS).unwrap()
     };
     assert_eq!(reference.state_count(), 15);
 
@@ -33,15 +33,15 @@ fn lut_is_bit_identical_across_thread_counts() {
             threads,
             ..MeshOptions::coarse()
         });
-        let eval = platform.evaluate(&design).unwrap();
-        let lut = build_ir_lut(&eval, MAX_BANKS).unwrap();
+        let mesh = platform.evaluate(&design).unwrap();
+        let lut = build_ir_lut_from_mesh(&mesh, MAX_BANKS).unwrap();
         assert_eq!(lut, reference, "threads {threads}");
     }
 
     // Superposition accuracy: every tabulated value matches a direct
     // per-case solve to well within solver tolerance.
     let platform = Platform::new(MeshOptions::coarse());
-    let eval = platform.evaluate(&design).unwrap();
+    let mesh = platform.evaluate(&design).unwrap();
     for bits in 1u8..16 {
         let counts: Vec<u8> = (0..4).map(|d| (bits >> d) & 1).collect();
         let state = MemoryState::new(
@@ -51,7 +51,7 @@ fn lut_is_bit_identical_across_thread_counts() {
                 .collect(),
         );
         for &activity in &LUT_ACTIVITIES {
-            let direct = eval.run(&state, activity).unwrap().max_dram();
+            let direct = mesh.max_ir(&state, activity).unwrap();
             let tabulated = reference.lookup(&counts, activity).unwrap();
             assert!(
                 (direct.value() - tabulated.value()).abs() < 1e-4,

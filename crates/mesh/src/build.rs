@@ -36,9 +36,11 @@
 //! resistance proportional to its distance from the nearest C4 bump or
 //! package ball, unless the design's TSV placement is alignment-optimized.
 
+use crate::analysis::IrDropReport;
 use crate::error::{DegradedSupplyReport, MeshError};
 use crate::faults::{FaultInjector, FaultReport, FaultSite};
 use crate::grid::{GridId, GridKind, GridRegistry};
+use pi3d_layout::units::MilliVolts;
 use pi3d_layout::{
     bump_grid, BondingStyle, FaultSpec, MemoryState, PowerMap, PowerNet, StackDesign, TsvConfig,
     TsvPlacement, C4_PITCH_MM,
@@ -195,6 +197,12 @@ impl MeshOptions {
 /// The assembled R-Mesh of a full 3D DRAM stack: conductance matrix plus
 /// the geometric registry needed to place loads and read back IR drops.
 ///
+/// It is the one handle every layer solves a design through:
+/// [`solve`](Self::solve) returns the [`IrDropReport`] of a memory state,
+/// [`max_ir`](Self::max_ir) its headline number, and the IR-drop LUT the
+/// memory controller schedules against is built from the mesh too
+/// (`pi3d_core::build_ir_lut_from_mesh`).
+///
 /// The conductance matrix never changes after assembly, so the mesh holds
 /// it inside a [`PreparedSystem`]: the CG preconditioner is factored once
 /// here and reused by every subsequent solve. The mesh holds no other
@@ -349,12 +357,6 @@ impl StackMesh {
         &self.registry
     }
 
-    /// The grid registry behind its shared handle, for reports that need
-    /// to keep the geometry alive without deep-copying it.
-    pub fn registry_shared(&self) -> &Arc<GridRegistry> {
-        &self.registry
-    }
-
     /// The assembled nodal conductance matrix.
     pub fn matrix(&self) -> &CsrMatrix {
         self.prepared.matrix()
@@ -452,9 +454,9 @@ impl StackMesh {
         loads
     }
 
-    /// Solves the mesh for a memory state, returning the per-node IR drop
-    /// in volts: one cold CG solve against the preconditioner factored at
-    /// assembly.
+    /// Solves the mesh for a memory state: one cold CG solve against the
+    /// preconditioner factored at assembly, summarized per grid. The
+    /// report owns the per-node drop map ([`IrDropReport::node_drops`]).
     ///
     /// # Errors
     ///
@@ -464,11 +466,12 @@ impl StackMesh {
         &self,
         state: &MemoryState,
         io_activity: f64,
-    ) -> Result<Arc<Vec<f64>>, SolverError> {
+    ) -> Result<IrDropReport, SolverError> {
         self.solve_op(state, io_activity, pi3d_layout::OpKind::Read)
     }
 
-    /// As [`solve`](Self::solve), for an explicit operation kind.
+    /// As [`solve`](Self::solve), for an explicit operation kind (read vs
+    /// write current distribution, Section 2.2).
     ///
     /// # Errors
     ///
@@ -478,10 +481,26 @@ impl StackMesh {
         state: &MemoryState,
         io_activity: f64,
         op: pi3d_layout::OpKind,
-    ) -> Result<Arc<Vec<f64>>, SolverError> {
+    ) -> Result<IrDropReport, SolverError> {
         let _solve_span = pi3d_telemetry::span::span("mesh_solve");
         let loads = self.load_vector_op(state, io_activity, op);
-        Ok(Arc::new(self.prepared.solve(&loads, None)?.x))
+        let drops = self.prepared.solve(&loads, None)?.x;
+        Ok(IrDropReport::new(
+            state,
+            io_activity,
+            drops,
+            Arc::clone(&self.registry),
+        ))
+    }
+
+    /// Maximum DRAM IR drop of one memory state — the paper's headline
+    /// metric, [`IrDropReport::max_dram`] of [`solve`](Self::solve).
+    ///
+    /// # Errors
+    ///
+    /// As for [`solve`](Self::solve).
+    pub fn max_ir(&self, state: &MemoryState, io_activity: f64) -> Result<MilliVolts, SolverError> {
+        Ok(self.solve(state, io_activity)?.max_dram())
     }
 }
 
@@ -1353,7 +1372,8 @@ mod tests {
         let d = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
         let m = mesh(&d);
         let state: MemoryState = "0-0-0-2".parse().unwrap();
-        let v = m.solve(&state, 1.0).expect("solve");
+        let report = m.solve(&state, 1.0).expect("solve");
+        let v = report.node_drops();
         let max = v.iter().cloned().fold(0.0f64, f64::max);
         let min = v.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(min >= -1e-9, "negative drop {min}");
@@ -1383,8 +1403,8 @@ mod tests {
         let state: MemoryState = "0-0-0-2".parse().unwrap();
         let faulted = m.solve(&state, 1.0).expect("connected mesh solves");
         let pristine = mesh(&d).solve(&state, 1.0).unwrap();
-        let max_f = faulted.iter().cloned().fold(0.0f64, f64::max);
-        let max_p = pristine.iter().cloned().fold(0.0f64, f64::max);
+        let max_f = faulted.node_drops().iter().cloned().fold(0.0f64, f64::max);
+        let max_p = pristine.node_drops().iter().cloned().fold(0.0f64, f64::max);
         // Losing TSVs and drifting resistances can only hurt.
         assert!(max_f > max_p, "faulted {max_f} !> pristine {max_p}");
         assert!(max_f < 0.5, "faulted drop {max_f} V is implausible");

@@ -172,9 +172,13 @@ mod tests {
     fn solve(design: &StackDesign) -> (StackMesh, Vec<f64>, f64) {
         let mesh = StackMesh::new(design, MeshOptions::coarse()).expect("mesh builds");
         let state: MemoryState = "0-0-0-2".parse().unwrap();
-        let drops = mesh.solve(&state, 1.0).expect("solves");
+        let drops = mesh
+            .solve(&state, 1.0)
+            .expect("solves")
+            .node_drops()
+            .to_vec();
         let injected: f64 = mesh.load_vector(&state, 1.0).iter().sum();
-        (mesh, drops.to_vec(), injected)
+        (mesh, drops, injected)
     }
 
     #[test]
@@ -214,8 +218,8 @@ mod tests {
                 .build()
                 .unwrap();
             let mesh = StackMesh::new(&design, MeshOptions::coarse()).unwrap();
-            let drops = mesh.solve(&state, 1.0).unwrap();
-            let report = CurrentReport::compute(&mesh, &drops);
+            let solved = mesh.solve(&state, 1.0).unwrap();
+            let report = CurrentReport::compute(&mesh, solved.node_drops());
             report.tsv_interfaces.last().unwrap().avg_a
         };
         // The same die current spread over fewer TSVs raises the average
@@ -238,8 +242,8 @@ mod tests {
                 .build()
                 .unwrap();
             let mesh = StackMesh::new(&design, MeshOptions::coarse()).unwrap();
-            let drops = mesh.solve(&state, 1.0).unwrap();
-            let report = CurrentReport::compute(&mesh, &drops);
+            let solved = mesh.solve(&state, 1.0).unwrap();
+            let report = CurrentReport::compute(&mesh, solved.node_drops());
             report.supply_entries.expect("entries exist").total_a
         };
         assert!(entry_current(true) < entry_current(false));

@@ -45,12 +45,12 @@ impl DieDecomposition {
 ///
 /// ```
 /// use pi3d_layout::{Benchmark, StackDesign};
-/// use pi3d_mesh::{decompose_ir, IrAnalysis, MeshOptions};
+/// use pi3d_mesh::{decompose_ir, MeshOptions, StackMesh};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-/// let analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
-/// let report = analysis.run(&"2-2-2-2".parse()?, 0.25)?;
+/// let mesh = StackMesh::new(&design, MeshOptions::coarse())?;
+/// let report = mesh.solve(&"2-2-2-2".parse()?, 0.25)?;
 /// let parts = decompose_ir(&report);
 /// // The top die's vertical pedestal exceeds the bottom die's.
 /// assert!(parts[3].vertical.value() > parts[0].vertical.value());
@@ -91,14 +91,14 @@ pub fn decompose_ir(report: &IrDropReport) -> Vec<DieDecomposition> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::{IrAnalysis, MeshOptions};
+    use crate::{MeshOptions, StackMesh};
     use pi3d_layout::{Benchmark, MemoryState, StackDesign};
 
     fn report(state: &str) -> IrDropReport {
         let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-        let a = IrAnalysis::new(&design, MeshOptions::coarse()).unwrap();
+        let mesh = StackMesh::new(&design, MeshOptions::coarse()).unwrap();
         let state: MemoryState = state.parse().unwrap();
-        a.run(&state, 0.25).unwrap()
+        mesh.solve(&state, 0.25).unwrap()
     }
 
     #[test]

@@ -14,12 +14,12 @@
 //!
 //! ```
 //! use pi3d_layout::{Benchmark, StackDesign};
-//! use pi3d_mesh::{IrAnalysis, MeshOptions};
+//! use pi3d_mesh::{MeshOptions, StackMesh};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-//! let analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
-//! let report = analysis.run(&"0-0-0-2".parse()?, 1.0)?;
+//! let mesh = StackMesh::new(&design, MeshOptions::coarse())?;
+//! let report = mesh.solve(&"0-0-0-2".parse()?, 1.0)?;
 //! println!("max IR drop: {:.2}", report.max_dram());
 //! # Ok(())
 //! # }
@@ -45,7 +45,7 @@ mod spice;
 mod transient;
 mod validate;
 
-pub use analysis::{GridIrStats, IrAnalysis, IrDropReport};
+pub use analysis::{GridIrStats, IrDropReport};
 pub use build::{Element, ElementKind, MeshOptions, StackMesh};
 pub use current::{CurrentReport, ElementCurrentStats, LayerCurrentStats};
 pub use decompose::{decompose_ir, DieDecomposition};

@@ -7,8 +7,8 @@
 //! VSS). The voltage a DRAM cell actually sees collapses by the *sum* of
 //! the local VDD drop and VSS bounce.
 
-use crate::analysis::{IrAnalysis, IrDropReport};
-use crate::build::MeshOptions;
+use crate::analysis::IrDropReport;
+use crate::build::{MeshOptions, StackMesh};
 use crate::error::MeshError;
 use pi3d_layout::units::MilliVolts;
 use pi3d_layout::{MemoryState, PowerNet, StackDesign};
@@ -67,8 +67,8 @@ impl SupplyNoiseReport {
 /// ```
 #[derive(Debug)]
 pub struct SupplyNoiseAnalysis {
-    vdd: IrAnalysis,
-    vss: IrAnalysis,
+    vdd: StackMesh,
+    vss: StackMesh,
 }
 
 impl SupplyNoiseAnalysis {
@@ -87,8 +87,8 @@ impl SupplyNoiseAnalysis {
             ..options
         };
         Ok(SupplyNoiseAnalysis {
-            vdd: IrAnalysis::new(design, vdd_options)?,
-            vss: IrAnalysis::new(design, vss_options)?,
+            vdd: StackMesh::new(design, vdd_options)?,
+            vss: StackMesh::new(design, vss_options)?,
         })
     }
 
@@ -103,8 +103,8 @@ impl SupplyNoiseAnalysis {
         io_activity: f64,
     ) -> Result<SupplyNoiseReport, SolverError> {
         Ok(SupplyNoiseReport {
-            vdd: self.vdd.run(state, io_activity)?,
-            vss: self.vss.run(state, io_activity)?,
+            vdd: self.vdd.solve(state, io_activity)?,
+            vss: self.vss.solve(state, io_activity)?,
         })
     }
 }

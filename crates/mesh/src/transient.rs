@@ -185,15 +185,17 @@ pub fn run_transient(
     let idle_loads = mesh.load_vector(&idle_state, 1.0);
 
     // DC reference at full load.
-    let dc = mesh.solve(state, 1.0)?;
-    let dc_mv = max_dram_drop(&mesh, &dc) * 1e3;
+    let dc_mv = mesh.max_ir(state, 1.0)?.value();
 
     // Factor the augmented matrix once; every backward-Euler step reuses
-    // the preconditioner instead of rebuilding it per step.
-    let stepper = PreparedSystem::with_solver(
+    // the preconditioner instead of rebuilding it per step. G + C/dt
+    // differs from G only on the diagonal, so it keeps the mesh's grid
+    // geometry (the stencil operator and multigrid both need it).
+    let stepper = PreparedSystem::with_geometry(
         augmented,
         mesh.options().preconditioner,
         CgSolver::new().with_tolerance(1e-8),
+        &mesh.registry().stencil_grids(),
     )?;
     let mut v = vec![0.0f64; n];
     let mut rhs = vec![0.0f64; n];
@@ -243,6 +245,7 @@ fn max_dram_drop(mesh: &StackMesh, v: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use pi3d_layout::Benchmark;
+    use pi3d_solver::Preconditioner;
 
     fn tiny_mesh() -> MeshOptions {
         MeshOptions {
@@ -273,6 +276,34 @@ mod tests {
             result.dc_mv
         );
         assert!((result.overshoot() - 1.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn multigrid_stepper_matches_incomplete_cholesky() {
+        let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
+        let state = "0-0-0-2".parse().unwrap();
+        let run = |preconditioner| {
+            let mesh = MeshOptions {
+                dram_nx: 12,
+                dram_ny: 12,
+                preconditioner,
+                ..MeshOptions::coarse()
+            };
+            let options = TransientOptions {
+                steps: 20,
+                ..TransientOptions::default()
+            };
+            run_transient(&design, mesh, options, &state).unwrap()
+        };
+        let ic0 = run(Preconditioner::IncompleteCholesky);
+        let mg = run(Preconditioner::Multigrid);
+        // Both steppers solve to the same CG tolerance (1e-8 relative).
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * a.abs();
+        assert!(close(ic0.dc_mv, mg.dc_mv), "{} vs {}", ic0.dc_mv, mg.dc_mv);
+        assert_eq!(ic0.max_drop_mv.len(), mg.max_drop_mv.len());
+        for (step, (a, b)) in ic0.max_drop_mv.iter().zip(&mg.max_drop_mv).enumerate() {
+            assert!(close(*a, *b), "step {step}: IC(0) {a} mV vs MG {b} mV");
+        }
     }
 
     #[test]

@@ -79,8 +79,9 @@ pub fn validate_against_golden(
     let loads = mesh.load_vector(state, io_activity);
 
     let t0 = Instant::now();
-    let sparse = mesh.solve(state, io_activity)?;
+    let report = mesh.solve(state, io_activity)?;
     let rmesh_time = t0.elapsed();
+    let sparse = report.node_drops();
 
     let t1 = Instant::now();
     let dense = DenseMatrix::from_csr(mesh.matrix());

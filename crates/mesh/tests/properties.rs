@@ -94,8 +94,8 @@ fn drops_are_nonnegative_and_bounded() {
         let design = arb_design(&mut rng);
         let state = arb_state(&mut rng);
         let mesh = StackMesh::new(&design, tiny()).expect("mesh builds");
-        let v = mesh.solve(&state, 1.0).expect("solves");
-        for (i, &drop) in v.iter().enumerate() {
+        let report = mesh.solve(&state, 1.0).expect("solves");
+        for (i, &drop) in report.node_drops().iter().enumerate() {
             assert!(drop >= -1e-9, "case {case} node {i} negative: {drop}");
             assert!(drop < 0.9, "case {case} node {i} implausible: {drop} V");
         }
@@ -113,7 +113,8 @@ fn drops_scale_linearly_with_activity_current() {
         let design = arb_design(&mut rng);
         let mesh = StackMesh::new(&design, tiny()).expect("mesh builds");
         let state: MemoryState = "0-0-0-2".parse().expect("literal");
-        let v1 = mesh.solve(&state, 1.0).expect("solves");
+        let report = mesh.solve(&state, 1.0).expect("solves");
+        let v1 = report.node_drops();
         let loads = mesh.load_vector(&state, 1.0);
         let scaled: Vec<f64> = loads.iter().map(|x| 2.0 * x).collect();
         let solver = pi3d_solver::CgSolver::new().with_tolerance(1e-10);
@@ -140,8 +141,8 @@ fn more_metal_never_hurts() {
         let state: MemoryState = "0-0-0-2".parse().expect("literal");
         let base_pdn = design.pdn();
         let mesh = StackMesh::new(&design, tiny()).expect("mesh builds");
-        let v = mesh.solve(&state, 1.0).expect("solves");
-        let base_max = v.iter().cloned().fold(0.0f64, f64::max);
+        let report = mesh.solve(&state, 1.0).expect("solves");
+        let base_max = report.node_drops().iter().cloned().fold(0.0f64, f64::max);
 
         let upgraded = StackDesign::builder(design.benchmark())
             .mounting(design.mounting())
@@ -153,8 +154,8 @@ fn more_metal_never_hurts() {
             .build()
             .expect("still valid");
         let mesh2 = StackMesh::new(&upgraded, tiny()).expect("mesh builds");
-        let v2 = mesh2.solve(&state, 1.0).expect("solves");
-        let up_max = v2.iter().cloned().fold(0.0f64, f64::max);
+        let report2 = mesh2.solve(&state, 1.0).expect("solves");
+        let up_max = report2.node_drops().iter().cloned().fold(0.0f64, f64::max);
         assert!(
             up_max <= base_max * 1.001,
             "case {case}: 1.4x metal raised max drop: {base_max} -> {up_max}"
@@ -179,8 +180,8 @@ fn adding_wire_bonds_never_hurts() {
         }
         tested += 1;
         let mesh = StackMesh::new(&design, tiny()).expect("mesh builds");
-        let v = mesh.solve(&state, 0.5).expect("solves");
-        let base_max = v.iter().cloned().fold(0.0f64, f64::max);
+        let report = mesh.solve(&state, 0.5).expect("solves");
+        let base_max = report.node_drops().iter().cloned().fold(0.0f64, f64::max);
 
         let bonded = StackDesign::builder(design.benchmark())
             .mounting(design.mounting())
@@ -192,8 +193,8 @@ fn adding_wire_bonds_never_hurts() {
             .build()
             .expect("still valid");
         let mesh2 = StackMesh::new(&bonded, tiny()).expect("mesh builds");
-        let v2 = mesh2.solve(&state, 0.5).expect("solves");
-        let bonded_max = v2.iter().cloned().fold(0.0f64, f64::max);
+        let report2 = mesh2.solve(&state, 0.5).expect("solves");
+        let bonded_max = report2.node_drops().iter().cloned().fold(0.0f64, f64::max);
         assert!(
             bonded_max <= base_max * 1.001,
             "case {case}: wire bonding raised max drop: {base_max} -> {bonded_max}"

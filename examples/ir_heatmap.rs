@@ -5,7 +5,7 @@
 //! `cargo run --release --example ir_heatmap 0-0-2b-2a`.
 
 use pi3d::layout::{Benchmark, MemoryState, StackDesign};
-use pi3d::mesh::{GridKind, IrAnalysis, MeshOptions};
+use pi3d::mesh::{GridKind, MeshOptions, StackMesh};
 
 const SHADES: &[u8] = b" .:-=+*#%@";
 
@@ -16,8 +16,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .parse()?;
 
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let analysis = IrAnalysis::new(&design, MeshOptions::default())?;
-    let report = analysis.run(&state, 1.0)?;
+    let mesh = StackMesh::new(&design, MeshOptions::default())?;
+    let report = mesh.solve(&state, 1.0)?;
 
     println!(
         "IR-drop heat map, {} state {state} (max {:.2})\n",

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --release --example policy_explorer`.
 
-use pi3d::core::{build_ir_lut, Platform};
+use pi3d::core::{build_ir_lut_from_mesh, Platform};
 use pi3d::layout::units::MilliVolts;
 use pi3d::layout::{Benchmark, StackDesign};
 use pi3d::memsim::{MemorySimulator, ReadPolicy, SimConfig, TimingParams, WorkloadSpec};
@@ -18,8 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "building IR-drop lookup table for {} ...",
         design.benchmark()
     );
-    let eval = platform.evaluate(&design)?;
-    let lut = build_ir_lut(&eval, 2)?;
+    let mesh = platform.evaluate(&design)?;
+    let lut = build_ir_lut_from_mesh(&mesh, 2)?;
     println!("tabulated {} memory states\n", lut.state_count());
 
     let workload = WorkloadSpec::paper_ddr3();

@@ -24,8 +24,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Current crowding through the vertical elements.
     let mesh = StackMesh::new(&design, MeshOptions::default())?;
-    let drops = mesh.solve(&state, 1.0)?;
-    let currents = CurrentReport::compute(&mesh, &drops);
+    let solved = mesh.solve(&state, 1.0)?;
+    let currents = CurrentReport::compute(&mesh, solved.node_drops());
     println!("\ncurrent crowding:");
     if let Some(entries) = &currents.supply_entries {
         println!(

@@ -15,12 +15,12 @@
 //!
 //! ```
 //! use pi3d::layout::{Benchmark, StackDesign};
-//! use pi3d::mesh::{IrAnalysis, MeshOptions};
+//! use pi3d::mesh::{MeshOptions, StackMesh};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-//! let analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
-//! let report = analysis.run(&"0-0-0-2".parse()?, 1.0)?;
+//! let mesh = StackMesh::new(&design, MeshOptions::coarse())?;
+//! let report = mesh.solve(&"0-0-0-2".parse()?, 1.0)?;
 //! assert!(report.max_dram().value() > 0.0);
 //! # Ok(())
 //! # }
@@ -42,14 +42,14 @@ pub use pi3d_telemetry as telemetry;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-/// let analysis = IrAnalysis::new(&design, MeshOptions::coarse())?;
+/// let mesh = Platform::new(MeshOptions::coarse()).evaluate(&design)?;
 /// let state: MemoryState = "0-0-0-2".parse()?;
-/// assert!(analysis.run(&state, 1.0)?.max_dram().value() > 0.0);
+/// assert!(mesh.max_ir(&state, 1.0)?.value() > 0.0);
 /// # Ok(())
 /// # }
 /// ```
 pub mod prelude {
-    pub use pi3d_core::{build_ir_lut, characterize, ir_cost, Platform};
+    pub use pi3d_core::{build_ir_lut_from_mesh, characterize, ir_cost, Platform};
     pub use pi3d_layout::units::MilliVolts;
     pub use pi3d_layout::{
         BankGroup, Benchmark, BondingStyle, DieState, MemoryState, Mounting, PdnSpec, RdlConfig,
@@ -58,5 +58,5 @@ pub mod prelude {
     pub use pi3d_memsim::{
         IrDropLut, MemorySimulator, ReadPolicy, SimConfig, TimingParams, WorkloadSpec,
     };
-    pub use pi3d_mesh::{IrAnalysis, MeshOptions, StackMesh};
+    pub use pi3d_mesh::{MeshOptions, StackMesh};
 }

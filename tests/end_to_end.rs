@@ -2,7 +2,7 @@
 //! memory-controller policy, end to end, plus the paper's headline
 //! qualitative results.
 
-use pi3d::core::{build_ir_lut, ir_cost, Platform};
+use pi3d::core::{build_ir_lut_from_mesh, ir_cost, Platform};
 use pi3d::layout::units::MilliVolts;
 use pi3d::layout::{Benchmark, BondingStyle, MemoryState, Mounting, StackDesign};
 use pi3d::memsim::{IrDropLut, MemorySimulator, ReadPolicy, SimConfig, TimingParams, WorkloadSpec};
@@ -18,8 +18,8 @@ fn design_to_policy_pipeline_runs_end_to_end() {
     // PDN generation (layout), R-Mesh analysis (mesh), LUT (core), and
     // cycle-accurate scheduling (memsim).
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let eval = platform().evaluate(&design).expect("design evaluates");
-    let lut = build_ir_lut(&eval, 2).expect("LUT builds");
+    let mesh = platform().evaluate(&design).expect("design evaluates");
+    let lut = build_ir_lut_from_mesh(&mesh, 2).expect("LUT builds");
     assert_eq!(lut.state_count(), 80); // 3^4 - 1 non-idle states
 
     let mut workload = WorkloadSpec::paper_ddr3();
@@ -111,8 +111,8 @@ fn hmc_runs_hotter_than_wide_io() {
 #[test]
 fn tighter_constraints_trade_performance_monotonically() {
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let eval = platform().evaluate(&design).unwrap();
-    let lut = build_ir_lut(&eval, 2).unwrap();
+    let mesh = platform().evaluate(&design).unwrap();
+    let lut = build_ir_lut_from_mesh(&mesh, 2).unwrap();
     let mut workload = WorkloadSpec::paper_ddr3();
     workload.count = 1_500;
     let requests = workload.generate();
@@ -141,8 +141,8 @@ fn lut_reflects_mesh_orderings() {
     // states cost more than bottom-die states, more banks cost more,
     // higher activity costs more.
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let eval = platform().evaluate(&design).unwrap();
-    let lut: IrDropLut = build_ir_lut(&eval, 2).unwrap();
+    let mesh = platform().evaluate(&design).unwrap();
+    let lut: IrDropLut = build_ir_lut_from_mesh(&mesh, 2).unwrap();
 
     let at = |counts: &[u8], act: f64| lut.lookup(counts, act).unwrap().value();
     assert!(at(&[0, 0, 0, 1], 1.0) > at(&[1, 0, 0, 0], 1.0));

@@ -9,7 +9,7 @@
 use pi3d::layout::units::MilliVolts;
 use pi3d::layout::{Benchmark, MemoryState, StackDesign};
 use pi3d::memsim::{MemorySimulator, ReadPolicy, SimConfig, TimingParams, WorkloadSpec};
-use pi3d::mesh::{IrAnalysis, MeshOptions};
+use pi3d::mesh::{MeshOptions, StackMesh};
 use pi3d::telemetry::{report, Json, RunReport};
 
 #[test]
@@ -24,9 +24,9 @@ fn run_report_json_matches_the_documented_schema() {
         dram_ny: 10,
         ..MeshOptions::coarse()
     };
-    let analysis = IrAnalysis::new(&design, options.clone()).expect("mesh builds");
+    let mesh = StackMesh::new(&design, options.clone()).expect("mesh builds");
     let state: MemoryState = "0-0-0-2".parse().unwrap();
-    let ir = analysis.run(&state, 1.0).expect("solve converges");
+    let ir = mesh.solve(&state, 1.0).expect("solve converges");
     assert!(ir.max_dram().value() > 0.0);
 
     let mut lut = pi3d::memsim::IrDropLut::new(4);
@@ -109,6 +109,8 @@ fn run_report_json_matches_the_documented_schema() {
         .map(|p| p.get("path").unwrap().as_str().unwrap())
         .collect();
     assert!(paths.contains(&"mesh_build"), "paths: {paths:?}");
+    // A mesh solve is a top-level phase with the CG solve nested in it.
+    assert!(paths.contains(&"mesh_solve/cg_solve"), "paths: {paths:?}");
     // Factor-once: the preconditioner is built during mesh assembly, not
     // inside the per-solve CG path (DESIGN.md "Factor-once / solve-many").
     assert!(
