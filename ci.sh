@@ -311,29 +311,41 @@ if [ "$shard_status" -ne 0 ]; then
 fi
 grep -q 'respawn' "$shard_dir/three.err"
 diff "$shard_dir/one.out" "$shard_dir/three.out"
-echo "shard smoke OK: worker $worker_pid SIGKILLed, respawned, reports byte-identical"
+# The merged journals match byte for byte too (shard journals record
+# units in completion order, so only the merged files are compared).
+cmp "$shard_dir/one.journal" "$shard_dir/three.journal"
+echo "shard smoke OK: worker $worker_pid SIGKILLed, respawned, reports and merged journals byte-identical"
 
 echo "==> quarantine smoke (poison unit kills its worker repeatedly, exit 75)"
 # The seeded chaos hook panics the worker that owns unit 5; after K
 # deaths the unit is quarantined and every healthy unit still completes.
-poison_status=0
-PI3D_CHAOS_PANIC_UNITS="fault_sweep:5" \
-    ./target/release/pi3d faults "$cfg" --levels 0.5 --trials 8 --grid 8 \
-    --reads 0 --threads 2 --shards 2 --journal "$shard_dir/poison.journal" \
-    > "$shard_dir/poison.out" 2> "$shard_dir/poison.err" || poison_status=$?
-if [ "$poison_status" -ne 75 ]; then
-    echo "FAIL: poisoned sweep exited $poison_status, expected 75" >&2
-    cat "$shard_dir/poison.err" >&2
-    exit 1
-fi
-grep -q 'quarantined units' "$shard_dir/poison.err"
-records=$(( $(wc -l < "$shard_dir/poison.journal") - 1 ))
-if [ "$records" -ne 7 ]; then
-    echo "FAIL: merged journal has $records healthy records, expected 7" >&2
-    exit 1
-fi
+# Each run writes $1.out and $1.err and must exit 75 with 7 records.
+poisoned_sweep() {
+    poison_status=0
+    PI3D_CHAOS_PANIC_UNITS="fault_sweep:5" \
+        ./target/release/pi3d faults "$cfg" --levels 0.5 --trials 8 --grid 8 \
+        --reads 0 --threads 2 --shards 2 --journal "$shard_dir/poison.journal" \
+        > "$shard_dir/$1.out" 2> "$shard_dir/$1.err" || poison_status=$?
+    if [ "$poison_status" -ne 75 ]; then
+        echo "FAIL: poisoned sweep ($1) exited $poison_status, expected 75" >&2
+        cat "$shard_dir/$1.err" >&2
+        exit 1
+    fi
+    grep -q 'quarantined units' "$shard_dir/$1.err"
+    records=$(( $(wc -l < "$shard_dir/poison.journal") - 1 ))
+    if [ "$records" -ne 7 ]; then
+        echo "FAIL: merged journal ($1) has $records healthy records, expected 7" >&2
+        exit 1
+    fi
+}
+poisoned_sweep poison
+# A supervisor killed mid-append leaves a torn fragment in the quarantine
+# sidecar; the rerun drops it and ends exactly as the first run did.
+printf '{"unit":6,"ke' >> "$shard_dir/poison.journal.quarantine"
+poisoned_sweep torn
+diff "$shard_dir/poison.out" "$shard_dir/torn.out"
 rm -rf "$shard_dir"
-echo "quarantine smoke OK: unit 5 quarantined (exit 75), 7 healthy units merged"
+echo "quarantine smoke OK: unit 5 quarantined (exit 75), 7 healthy units merged, torn sidecar tolerated"
 
 echo "==> trace smoke run (--trace-out + --progress on the optimize path)"
 trace_out="$(mktemp /tmp/pi3d-trace.XXXXXX.json)"

@@ -241,15 +241,7 @@ fn report_quarantine(
             "  {:>6}  {:>16}  {:>8}  {:<16} {}",
             q.unit, q.key, q.attempts, q.last_exit, q.stage
         );
-        pi3d_telemetry::report::record_quarantined_unit(
-            pi3d_telemetry::report::QuarantinedUnitRecord {
-                unit: q.unit as u64,
-                key: q.key.clone(),
-                attempts: u64::from(q.attempts),
-                last_exit: q.last_exit.clone(),
-                stage: q.stage.clone(),
-            },
-        );
+        pi3d_telemetry::report::record_quarantined_unit(q.clone());
     }
     Err(CoreError::Quarantined {
         units: report.quarantined.len(),

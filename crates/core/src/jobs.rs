@@ -18,18 +18,30 @@
 //! seeds are positional, so recomputing only the missing units yields
 //! exactly the bytes the uninterrupted run would have produced).
 //!
+//! # Sweep files
+//!
+//! This module is the only one that knows how sweep files are laid out.
+//! The journal, the attempts log of a shard worker and the shard
+//! supervisor's quarantine sidecar (`crate::shard`) are all line files,
+//! read through one torn-tail-aware reader and written through one
+//! fsync'd line append. A journal starts with one header line, which a
+//! single type writes and parses, and every record line passes one check
+//! (unit, recomputed key, shard slice, payload) whether it is resumed,
+//! merged or counted for crash blame.
+//!
 //! # Crash-consistency argument
 //!
-//! A journal record is one compact JSON value followed by `\n`, written
-//! with a single `write_all` and flushed with `sync_data` before the unit
-//! is considered durable. String escaping guarantees the only `\n` in the
+//! A record is one compact JSON value followed by `\n`, written with a
+//! single `write_all` and flushed with `sync_data` before it is
+//! considered durable. String escaping guarantees the only `\n` in the
 //! record is the terminator, and a torn write is a *prefix* of the
 //! record, so a crash can only ever leave one non-newline-terminated
-//! fragment at the tail of the file. [`Journal::open`] therefore drops an
-//! unterminated (or unparseable unterminated) final fragment silently and
-//! truncates it away before appending, while any *newline-terminated*
-//! line that fails to parse or validate is real corruption and fails the
-//! resume with a typed [`CoreError::Journal`].
+//! fragment at the tail of the file. Every reader therefore drops an
+//! unterminated final fragment silently, so a file with no complete line
+//! reads as empty (a journal torn inside its header opens as a fresh
+//! one), and every writer truncates the fragment away before appending.
+//! Any *newline-terminated* line that fails to parse or validate is real
+//! corruption and fails with a typed [`CoreError::Journal`].
 //!
 //! # Example
 //!
@@ -57,7 +69,7 @@
 use crate::error::CoreError;
 use pi3d_telemetry::{CancelToken, Json};
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -116,6 +128,11 @@ pub fn unit_key(config_hash: u64, unit: usize) -> u64 {
     fnv1a64(format!("{config_hash:016x}:{unit}").as_bytes())
 }
 
+/// True when `unit` lies in slice `index` of `count` (see [`unit_key`]).
+fn in_slice(config_hash: u64, unit: usize, (index, count): (usize, usize)) -> bool {
+    unit_key(config_hash, unit) % count as u64 == index as u64
+}
+
 pub(crate) fn journal_error(path: &Path, reason: impl Into<String>) -> CoreError {
     CoreError::Journal {
         path: path.display().to_string(),
@@ -123,7 +140,295 @@ pub(crate) fn journal_error(path: &Path, reason: impl Into<String>) -> CoreError
     }
 }
 
-/// How [`Journal::open`] treats a missing file.
+/// A whole, non-negative number as an index (a unit or a shard field).
+fn whole(v: f64) -> Option<usize> {
+    (v >= 0.0 && v.fract() == 0.0).then_some(v as usize)
+}
+
+/// The `unit` field of a journal or attempts-log record.
+fn unit_of(record: &Json) -> Option<usize> {
+    record.get("unit").and_then(Json::as_num).and_then(whole)
+}
+
+/// A sweep file read whole, its complete lines split from a torn final
+/// fragment (see the crash-consistency argument in the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct LineFile {
+    text: String,
+    /// Bytes up to and including the last `\n`: where the next append
+    /// starts.
+    complete: usize,
+}
+
+impl LineFile {
+    /// Reads the file at `path`.
+    pub(crate) fn read(path: &Path) -> std::io::Result<LineFile> {
+        let text = std::fs::read_to_string(path)?;
+        let complete = text.rfind('\n').map_or(0, |last| last + 1);
+        Ok(LineFile { text, complete })
+    }
+
+    /// [`LineFile::read`], with a missing file read as empty.
+    pub(crate) fn read_or_empty(path: &Path) -> std::io::Result<LineFile> {
+        match LineFile::read(path) {
+            Err(e) if e.kind() == ErrorKind::NotFound => Ok(LineFile::default()),
+            read => read,
+        }
+    }
+
+    /// The complete lines, numbered from 1; a torn fragment is never
+    /// among them.
+    pub(crate) fn lines(&self) -> impl Iterator<Item = (usize, &str)> {
+        self.text[..self.complete.saturating_sub(1)]
+            .lines()
+            .enumerate()
+            .map(|(i, line)| (i + 1, line))
+    }
+
+    /// True when the file ends in a torn fragment.
+    pub(crate) fn torn(&self) -> bool {
+        self.complete < self.text.len()
+    }
+
+    /// Byte length of the complete lines.
+    pub(crate) fn complete_len(&self) -> u64 {
+        self.complete as u64
+    }
+
+    /// Splits a journal into its parsed header and its record lines.
+    pub(crate) fn journal(
+        &self,
+        path: &Path,
+    ) -> Result<(JournalHeader, impl Iterator<Item = (usize, &str)>), CoreError> {
+        let mut lines = self.lines();
+        let (_, first) = lines
+            .next()
+            .ok_or_else(|| journal_error(path, "no complete header line"))?;
+        Ok((JournalHeader::parse(path, first)?, lines))
+    }
+}
+
+/// Reads a sidecar of one JSON record per line (an attempts log or the
+/// quarantine sidecar). A missing file is empty and a torn fragment is
+/// dropped; a complete line `parse` rejects is `corrupt {record} record
+/// on line N`.
+pub(crate) fn read_records<T>(
+    path: &Path,
+    file: &str,
+    record: &str,
+    parse: impl Fn(&Json) -> Option<T>,
+) -> Result<Vec<T>, CoreError> {
+    let lines = LineFile::read_or_empty(path)
+        .map_err(|e| journal_error(path, format!("cannot read {file}: {e}")))?;
+    lines
+        .lines()
+        .map(|(line_no, line)| {
+            Json::parse(line)
+                .ok()
+                .as_ref()
+                .and_then(&parse)
+                .ok_or_else(|| {
+                    journal_error(path, format!("corrupt {record} record on line {line_no}"))
+                })
+        })
+        .collect()
+}
+
+/// An append-only line file written one fsync'd line at a time; safe to
+/// share across worker threads.
+#[derive(Debug)]
+pub(crate) struct LineLog {
+    path: PathBuf,
+    file: Mutex<File>,
+}
+
+impl LineLog {
+    /// Opens `path` to append after its first `keep` bytes (the
+    /// [`LineFile::complete_len`] of a read), cutting a torn fragment
+    /// away. With nothing to keep the file is created or emptied; with
+    /// lines to keep it must still exist.
+    pub(crate) fn open(path: &Path, keep: u64) -> std::io::Result<LineLog> {
+        let mut file = OpenOptions::new()
+            .write(true)
+            .create(keep == 0)
+            .open(path)?;
+        file.set_len(keep)?;
+        file.seek(SeekFrom::End(0))?;
+        Ok(LineLog {
+            path: path.to_path_buf(),
+            file: Mutex::new(file),
+        })
+    }
+
+    /// Durably appends `value` as one line: a single `write_all` of the
+    /// compact JSON and its `\n`, then `sync_data`.
+    pub(crate) fn append(&self, value: &Json) -> std::io::Result<()> {
+        let mut line = value.to_compact_string();
+        line.push('\n');
+        // A poisoned lock only means another worker panicked *between*
+        // whole-line writes; the file itself is still line-consistent.
+        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
+        file.write_all(line.as_bytes())
+            .and_then(|()| file.sync_data())
+    }
+}
+
+/// The first line of every journal: `{"journal":"pi3d.jobs.v1",
+/// "kind":…,"config_hash":…}`, with `shard_index` and `shard_count` after
+/// them in a shard journal.
+#[derive(Debug)]
+pub(crate) struct JournalHeader {
+    /// Sweep kind.
+    pub(crate) kind: String,
+    /// Content hash of the run configuration ([`config_fingerprint`]).
+    pub(crate) config_hash: u64,
+    /// `(shard_index, shard_count)` of a shard journal; `None` for a
+    /// whole sweep.
+    pub(crate) shard: Option<(usize, usize)>,
+}
+
+impl JournalHeader {
+    /// The header line's JSON object.
+    pub(crate) fn to_json(&self) -> Json {
+        let mut fields = vec![
+            ("journal", Json::str(JOURNAL_SCHEMA)),
+            ("kind", Json::str(self.kind.as_str())),
+            (
+                "config_hash",
+                Json::str(format!("{:016x}", self.config_hash)),
+            ),
+        ];
+        if let Some((index, count)) = self.shard {
+            fields.push(("shard_index", Json::num(index as f64)));
+            fields.push(("shard_count", Json::num(count as f64)));
+        }
+        Json::obj(fields)
+    }
+
+    /// Parses a header line. The config hash must be 16 lowercase hex
+    /// digits, as [`JournalHeader::to_json`] writes it, and shard fields
+    /// must name one slice: whole numbers with `shard_index < shard_count`.
+    fn parse(path: &Path, line: &str) -> Result<JournalHeader, CoreError> {
+        let header =
+            Json::parse(line).map_err(|e| journal_error(path, format!("corrupt header: {e}")))?;
+        let schema = header.get("journal").and_then(Json::as_str);
+        if schema != Some(JOURNAL_SCHEMA) {
+            return Err(journal_error(
+                path,
+                format!("unsupported schema {schema:?} (expected {JOURNAL_SCHEMA:?})"),
+            ));
+        }
+        let hash_text = header
+            .get("config_hash")
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        let config_hash = u64::from_str_radix(hash_text, 16)
+            .ok()
+            .filter(|hash| format!("{hash:016x}") == hash_text)
+            .ok_or_else(|| journal_error(path, format!("unparseable config hash {hash_text:?}")))?;
+        let field = |key| header.get(key).and_then(Json::as_num);
+        let shard = match (field("shard_index"), field("shard_count")) {
+            (Some(index), Some(count)) => match (whole(index), whole(count)) {
+                (Some(i), Some(n)) if i < n => Some((i, n)),
+                _ => {
+                    return Err(journal_error(
+                        path,
+                        format!(
+                            "shard_index {index} of shard_count {count} names no slice \
+                             (need whole numbers with index < count)"
+                        ),
+                    ))
+                }
+            },
+            _ => None,
+        };
+        Ok(JournalHeader {
+            kind: header
+                .get("kind")
+                .and_then(Json::as_str)
+                .unwrap_or_default()
+                .to_owned(),
+            config_hash,
+            shard,
+        })
+    }
+
+    /// Fails unless this header is for the same sweep (kind and config
+    /// hash) as `expected`, which `expected_is` names in the message.
+    pub(crate) fn check_same_sweep(
+        &self,
+        path: &Path,
+        expected: &JournalHeader,
+        expected_is: &str,
+    ) -> Result<(), CoreError> {
+        if self.kind != expected.kind {
+            return Err(journal_error(
+                path,
+                format!(
+                    "journal is for a {:?} run, not {:?}",
+                    self.kind, expected.kind
+                ),
+            ));
+        }
+        if self.config_hash != expected.config_hash {
+            return Err(journal_error(
+                path,
+                format!(
+                    "journal was written for config hash {:016x}, {expected_is} {:016x} — \
+                     refusing to mix results from different sweeps",
+                    self.config_hash, expected.config_hash
+                ),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Checks the record on line `line_no` against this header — a whole
+    /// unit, its recomputed key, membership of the shard slice, a payload
+    /// — and returns the unit and its payload.
+    pub(crate) fn check_record(
+        &self,
+        path: &Path,
+        line_no: usize,
+        line: &str,
+    ) -> Result<(usize, Json), CoreError> {
+        let record = Json::parse(line)
+            .map_err(|e| journal_error(path, format!("corrupt record on line {line_no}: {e}")))?;
+        let unit = unit_of(&record)
+            .ok_or_else(|| journal_error(path, format!("record on line {line_no} has no unit")))?;
+        let key = record.get("key").and_then(Json::as_str).unwrap_or("");
+        let expected_key = format!("{:016x}", unit_key(self.config_hash, unit));
+        if key != expected_key {
+            return Err(journal_error(
+                path,
+                format!(
+                    "record on line {line_no} for unit {unit} carries key {key}, \
+                     expected {expected_key}"
+                ),
+            ));
+        }
+        if let Some((index, count)) = self
+            .shard
+            .filter(|&slice| !in_slice(self.config_hash, unit, slice))
+        {
+            return Err(journal_error(
+                path,
+                format!(
+                    "record on line {line_no} for unit {unit} is outside shard {index} of {count}"
+                ),
+            ));
+        }
+        let payload = record.get("payload").cloned().ok_or_else(|| {
+            journal_error(
+                path,
+                format!("record for unit {unit} has no payload (line {line_no})"),
+            )
+        })?;
+        Ok((unit, payload))
+    }
+}
+
+/// How [`Journal::open_with_shard`] treats a missing file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalMode {
     /// Create the journal if missing; resume it if present (the
@@ -142,39 +447,29 @@ pub enum JournalMode {
 /// crash-consistency argument.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
-    file: Mutex<File>,
+    log: LineLog,
 }
 
 impl Journal {
     /// Opens (or creates) the journal at `path` for a run identified by
     /// `kind` and `config_hash`, returning the journal plus every work
-    /// unit already recorded in it.
+    /// unit already recorded in it. A shard journal's header also records
+    /// which slice of the unit space (`shard_index` of `shard_count`) the
+    /// file owns, and resuming cross-checks those fields, so a shard
+    /// journal can never silently masquerade as a whole-sweep journal (or
+    /// vice versa, or as another shard's).
     ///
-    /// An existing journal must carry the same schema, kind, and config
-    /// hash; an unterminated final fragment (torn write from a crash) is
-    /// dropped and truncated away, while any complete line that fails to
+    /// An existing journal must carry the same schema, kind, config hash
+    /// and shard; an unterminated final fragment (torn write from a
+    /// crash) is dropped and truncated away, so a file with no complete
+    /// line starts a fresh journal, while any complete line that fails to
     /// parse or validate fails the open.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Journal`] on I/O failure, schema/kind/hash
-    /// mismatch, mid-file corruption, or (with
+    /// Returns [`CoreError::Journal`] on I/O failure, schema/kind/hash/
+    /// shard mismatch, mid-file corruption, or (with
     /// [`JournalMode::ResumeExisting`]) a missing file.
-    pub fn open(
-        path: &Path,
-        kind: &str,
-        config_hash: u64,
-        mode: JournalMode,
-    ) -> Result<(Journal, Vec<(usize, Json)>), CoreError> {
-        Self::open_with_shard(path, kind, config_hash, mode, None)
-    }
-
-    /// [`Journal::open`] for a shard journal: the header additionally
-    /// records which slice of the unit space (`shard_index` of
-    /// `shard_count`) this file owns, and resuming cross-checks those
-    /// fields, so a shard journal can never silently masquerade as a
-    /// whole-sweep journal (or vice versa, or as another shard's).
     pub fn open_with_shard(
         path: &Path,
         kind: &str,
@@ -182,120 +477,42 @@ impl Journal {
         mode: JournalMode,
         shard: Option<(usize, usize)>,
     ) -> Result<(Journal, Vec<(usize, Json)>), CoreError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => Some(text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        let header = JournalHeader {
+            kind: kind.to_owned(),
+            config_hash,
+            shard,
+        };
+        let file = match LineFile::read(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == ErrorKind::NotFound && mode == JournalMode::CreateOrResume => {
+                LineFile::default()
+            }
+            Err(e) if e.kind() == ErrorKind::NotFound => {
+                return Err(journal_error(
+                    path,
+                    "cannot resume: journal does not exist (use --journal to start one)",
+                ))
+            }
             Err(e) => return Err(journal_error(path, format!("cannot read: {e}"))),
         };
-        match text {
-            None if mode == JournalMode::ResumeExisting => Err(journal_error(
-                path,
-                "cannot resume: journal does not exist (use --journal to start one)",
-            )),
-            None => Self::create(path, kind, config_hash, shard).map(|j| (j, Vec::new())),
-            Some(text) if text.is_empty() => {
-                Self::create(path, kind, config_hash, shard).map(|j| (j, Vec::new()))
-            }
-            Some(text) => Self::resume(path, kind, config_hash, shard, &text),
-        }
-    }
-
-    /// Writes a fresh journal containing only the fsync'd header line.
-    fn create(
-        path: &Path,
-        kind: &str,
-        config_hash: u64,
-        shard: Option<(usize, usize)>,
-    ) -> Result<Journal, CoreError> {
-        let mut file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| journal_error(path, format!("cannot create: {e}")))?;
-        let mut fields = vec![
-            ("journal", Json::str(JOURNAL_SCHEMA)),
-            ("kind", Json::str(kind)),
-            ("config_hash", Json::str(format!("{config_hash:016x}"))),
-        ];
-        if let Some((index, count)) = shard {
-            fields.push(("shard_index", Json::num(index as f64)));
-            fields.push(("shard_count", Json::num(count as f64)));
-        }
-        let header = Json::obj(fields);
-        let line = format!("{}\n", header.to_compact_string());
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.sync_all())
-            .map_err(|e| journal_error(path, format!("cannot write header: {e}")))?;
-        Ok(Journal {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-        })
-    }
-
-    /// Validates an existing journal and loads its completed units.
-    fn resume(
-        path: &Path,
-        kind: &str,
-        config_hash: u64,
-        shard: Option<(usize, usize)>,
-        text: &str,
-    ) -> Result<(Journal, Vec<(usize, Json)>), CoreError> {
-        // Complete lines are newline-terminated; a trailing fragment
-        // without a terminator is a torn final write (see module docs).
-        let (complete, fragment) = match text.rfind('\n') {
-            Some(last) => (&text[..last], &text[last + 1..]),
-            None => ("", text),
-        };
-        if !fragment.is_empty() {
+        if file.torn() {
             pi3d_telemetry::metrics::counter("jobs.torn_tail_dropped").incr(1);
         }
-        let mut lines = complete.lines();
-        let header_line = lines
-            .next()
-            .ok_or_else(|| journal_error(path, "no complete header line"))?;
-        let header = Json::parse(header_line)
-            .map_err(|e| journal_error(path, format!("corrupt header: {e}")))?;
-        let schema = header.get("journal").and_then(Json::as_str);
-        if schema != Some(JOURNAL_SCHEMA) {
-            return Err(journal_error(
-                path,
-                format!("unsupported schema {schema:?} (expected {JOURNAL_SCHEMA:?})"),
-            ));
+        if file.complete_len() == 0 {
+            let log = LineLog::open(path, 0)
+                .map_err(|e| journal_error(path, format!("cannot create: {e}")))?;
+            log.append(&header.to_json())
+                .map_err(|e| journal_error(path, format!("cannot write header: {e}")))?;
+            return Ok((Journal { log }, Vec::new()));
         }
-        let found_kind = header.get("kind").and_then(Json::as_str).unwrap_or("");
-        if found_kind != kind {
-            return Err(journal_error(
-                path,
-                format!("journal is for a {found_kind:?} run, not {kind:?}"),
-            ));
-        }
-        let expected_hash = format!("{config_hash:016x}");
-        let found_hash = header
-            .get("config_hash")
-            .and_then(Json::as_str)
-            .unwrap_or("");
-        if found_hash != expected_hash {
-            return Err(journal_error(
-                path,
-                format!(
-                    "journal was written for config hash {found_hash}, this run is \
-                     {expected_hash} — refusing to mix results from different sweeps"
-                ),
-            ));
-        }
+
+        let (found, records) = file.journal(path)?;
+        found.check_same_sweep(path, &header, "this run is")?;
         // Shard identity must match in *both* directions: a shard journal
         // cannot resume as a whole-sweep journal (it is missing most
         // units), and a whole-sweep journal cannot resume as a shard (its
         // records fall outside the slice).
-        let found_shard = match (
-            header.get("shard_index").and_then(Json::as_num),
-            header.get("shard_count").and_then(Json::as_num),
-        ) {
-            (Some(i), Some(n)) => Some((i as usize, n as usize)),
-            _ => None,
-        };
-        if found_shard != shard {
+        if found.shard != shard {
             let describe = |s: Option<(usize, usize)>| match s {
                 Some((i, n)) => format!("shard {i} of {n}"),
                 None => "a whole (unsharded) sweep".to_owned(),
@@ -304,84 +521,23 @@ impl Journal {
                 path,
                 format!(
                     "journal covers {}, this run expects {}",
-                    describe(found_shard),
+                    describe(found.shard),
                     describe(shard)
                 ),
             ));
         }
-
-        let mut entries = Vec::new();
-        for (line_no, line) in lines.enumerate() {
-            let record = Json::parse(line).map_err(|e| {
-                journal_error(path, format!("corrupt record on line {}: {e}", line_no + 2))
-            })?;
-            let unit = record
-                .get("unit")
-                .and_then(Json::as_num)
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-                .map(|v| v as usize)
-                .ok_or_else(|| {
-                    journal_error(path, format!("record on line {} has no unit", line_no + 2))
-                })?;
-            let key = record.get("key").and_then(Json::as_str).unwrap_or("");
-            let expected_key = format!("{:016x}", unit_key(config_hash, unit));
-            if key != expected_key {
-                return Err(journal_error(
-                    path,
-                    format!(
-                        "record on line {} for unit {unit} carries key {key}, \
-                         expected {expected_key}",
-                        line_no + 2
-                    ),
-                ));
-            }
-            if let Some((index, count)) = shard {
-                if unit_key(config_hash, unit) % count as u64 != index as u64 {
-                    return Err(journal_error(
-                        path,
-                        format!(
-                            "record on line {} for unit {unit} is outside shard {index} \
-                             of {count}",
-                            line_no + 2
-                        ),
-                    ));
-                }
-            }
-            let payload = record.get("payload").ok_or_else(|| {
-                journal_error(
-                    path,
-                    format!(
-                        "record for unit {unit} has no payload (line {})",
-                        line_no + 2
-                    ),
-                )
-            })?;
-            entries.push((unit, payload.clone()));
-        }
-
-        // Reopen for appending, truncating away any torn tail fragment so
-        // the next record starts on a clean line.
-        let valid_len = complete.len() + usize::from(!complete.is_empty());
-        let mut file = OpenOptions::new()
-            .write(true)
-            .open(path)
+        let entries = records
+            .map(|(line_no, line)| header.check_record(path, line_no, line))
+            .collect::<Result<Vec<_>, _>>()?;
+        let log = LineLog::open(path, file.complete_len())
             .map_err(|e| journal_error(path, format!("cannot reopen: {e}")))?;
-        file.set_len(valid_len as u64)
-            .and_then(|()| file.seek(SeekFrom::End(0)).map(drop))
-            .map_err(|e| journal_error(path, format!("cannot truncate torn tail: {e}")))?;
-        Ok((
-            Journal {
-                path: path.to_path_buf(),
-                file: Mutex::new(file),
-            },
-            entries,
-        ))
+        Ok((Journal { log }, entries))
     }
 
-    /// Durably records one completed work unit: a single `write_all` of
-    /// the record line followed by `sync_data`. Safe to call from worker
-    /// threads; records land in completion order (resume re-indexes by
-    /// `unit`, so on-disk order never affects results).
+    /// Durably records one completed work unit as one fsync'd line. Safe
+    /// to call from worker threads; records land in completion order
+    /// (resume re-indexes by `unit`, so on-disk order never affects
+    /// results).
     ///
     /// # Errors
     ///
@@ -395,18 +551,14 @@ impl Journal {
             ),
             ("payload", payload),
         ]);
-        let line = format!("{}\n", record.to_compact_string());
-        // A poisoned lock only means another worker panicked *between*
-        // whole-line writes; the file itself is still line-consistent.
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.sync_data())
-            .map_err(|e| journal_error(&self.path, format!("cannot append unit {unit}: {e}")))
+        self.log
+            .append(&record)
+            .map_err(|e| journal_error(self.path(), format!("cannot append unit {unit}: {e}")))
     }
 
     /// Path of the journal file.
     pub fn path(&self) -> &Path {
-        &self.path
+        &self.log.path
     }
 }
 
@@ -547,90 +699,23 @@ impl JobContext {
     }
 }
 
-/// Fsync'd unit-attempt log: one `{"unit":N}` line *before* each compute.
-///
-/// Diffing attempted against journaled units tells the shard supervisor
-/// which unit(s) a crashed worker was holding — the crash-blame input
-/// for poison-unit quarantine. Truncated at every worker start so the
-/// suspect set always reflects the latest generation.
-#[derive(Debug)]
-struct AttemptsLog {
-    path: PathBuf,
-    file: Mutex<File>,
-}
-
-impl AttemptsLog {
-    fn create(path: &Path) -> Result<AttemptsLog, CoreError> {
-        let file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| journal_error(path, format!("cannot create attempts log: {e}")))?;
-        Ok(AttemptsLog {
-            path: path.to_path_buf(),
-            file: Mutex::new(file),
-        })
-    }
-
-    fn record(&self, unit: usize) -> Result<(), CoreError> {
-        let line = format!("{{\"unit\":{unit}}}\n");
-        let mut file = self.file.lock().unwrap_or_else(|e| e.into_inner());
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.sync_data())
-            .map_err(|e| {
-                journal_error(
-                    &self.path,
-                    format!("cannot record attempt of unit {unit}: {e}"),
-                )
-            })
-    }
-}
-
 /// Reads the unit indices recorded in an attempts log written via
-/// [`JobContext::with_attempts_log`].
+/// [`JobContext::with_attempts_log`]: one fsync'd `{"unit":N}` line
+/// *before* each compute, truncated at every worker start. Diffing
+/// attempted against journaled units tells the shard supervisor which
+/// unit(s) a crashed worker was holding — the crash-blame input for
+/// poison-unit quarantine.
 ///
 /// A missing file means no unit was ever attempted (the worker died
 /// before its first unit) and yields an empty list. A torn final
-/// fragment is tolerated exactly as in a journal: a crash mid-append can
-/// only leave an unterminated tail, which is dropped.
+/// fragment is dropped, as in every sweep file.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Journal`] on I/O failure or a corrupt
 /// newline-terminated line.
 pub fn read_attempted_units(path: &Path) -> Result<Vec<usize>, CoreError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(journal_error(
-                path,
-                format!("cannot read attempts log: {e}"),
-            ))
-        }
-    };
-    let complete = match text.rfind('\n') {
-        Some(last) => &text[..last],
-        None => "",
-    };
-    let mut units = Vec::new();
-    for (line_no, line) in complete.lines().enumerate() {
-        let unit = Json::parse(line)
-            .ok()
-            .as_ref()
-            .and_then(|record| record.get("unit"))
-            .and_then(Json::as_num)
-            .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-            .ok_or_else(|| {
-                journal_error(
-                    path,
-                    format!("corrupt attempt record on line {}", line_no + 1),
-                )
-            })?;
-        units.push(unit as usize);
-    }
-    Ok(units)
+    read_records(path, "attempts log", "attempt", unit_of)
 }
 
 /// Environment variable holding chaos-injected poison units for sweep
@@ -752,25 +837,28 @@ where
         None => (None, Vec::new()),
     };
     let attempts = match &ctx.attempts {
-        Some(path) => Some(AttemptsLog::create(path)?),
+        Some(path) => Some(
+            LineLog::open(path, 0)
+                .map_err(|e| journal_error(path, format!("cannot create attempts log: {e}")))?,
+        ),
         None => None,
     };
     let chaos = chaos_panic_units(kind);
 
-    let in_slice = |unit: usize| match ctx.shard {
-        Some((index, count)) => unit_key(config_hash, unit) % count as u64 == index as u64,
-        None => true,
+    let in_scope = |unit: usize| {
+        ctx.shard
+            .is_none_or(|slice| in_slice(config_hash, unit, slice))
+            && !ctx.skip.contains(&unit)
     };
-    let in_scope = |unit: usize| in_slice(unit) && !ctx.skip.contains(&unit);
 
     let mut slots: Vec<Option<R>> = Vec::new();
     slots.resize_with(items.len(), || None);
     let mut resumed = 0u64;
+    let journal_path = journal.as_ref().map_or(Path::new("<none>"), Journal::path);
     for (unit, payload) in preloaded {
         if unit >= items.len() {
-            let journal = journal.as_ref().map_or(Path::new("<none>"), Journal::path);
             return Err(journal_error(
-                journal,
+                journal_path,
                 format!(
                     "journaled unit {unit} is out of range for this {}-unit sweep",
                     items.len()
@@ -784,8 +872,10 @@ where
             continue;
         }
         let decoded = decode(unit, &payload).ok_or_else(|| {
-            let journal = journal.as_ref().map_or(Path::new("<none>"), Journal::path);
-            journal_error(journal, format!("cannot decode payload of unit {unit}"))
+            journal_error(
+                journal_path,
+                format!("cannot decode payload of unit {unit}"),
+            )
         })?;
         if slots[unit].is_none() {
             resumed += 1;
@@ -829,7 +919,14 @@ where
         let _unit_slice = pi3d_telemetry::trace::span_with("jobs", || format!("{kind}[{unit}]"));
         let unit_started = Instant::now();
         if let Some(attempts) = attempts_ref {
-            attempts.record(unit)?;
+            attempts
+                .append(&Json::obj([("unit", Json::num(unit as f64))]))
+                .map_err(|e| {
+                    journal_error(
+                        &attempts.path,
+                        format!("cannot record attempt of unit {unit}: {e}"),
+                    )
+                })?;
         }
         assert!(
             !chaos.contains(&unit),
@@ -1062,6 +1159,28 @@ mod tests {
         assert!(err.to_string().contains("corrupt record"), "{err}");
         // The error pins the corrupt line: lines[2] is file line 3.
         assert!(err.to_string().contains("line 3"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_torn_inside_its_header_starts_fresh() {
+        // A process killed while writing the header leaves no complete
+        // line: both --journal and --resume open it as a fresh journal.
+        let path = temp_path("torn-header");
+        let items: Vec<u64> = (0..4).collect();
+        let squares: Vec<u64> = items.iter().map(|v| v * v).collect();
+        for ctx in [
+            JobContext::new().with_journal(&path),
+            JobContext::new().with_resume(&path),
+        ] {
+            std::fs::write(&path, "{\"journal\":\"pi3d.jo").unwrap();
+            let calls = AtomicUsize::new(0);
+            assert_eq!(sweep_squares(&ctx, &items, 2, &calls).unwrap(), squares);
+            assert_eq!(calls.load(Ordering::Relaxed), items.len());
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(text.starts_with("{\"journal\":\"pi3d.jobs.v1\""), "{text}");
+            assert_eq!(text.lines().count(), 1 + items.len());
+        }
         let _ = std::fs::remove_file(&path);
     }
 

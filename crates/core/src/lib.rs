@@ -66,8 +66,8 @@ pub use optimize::{
 pub use platform::{sim_setup, Platform};
 pub use regression::{ir_features, LogIrModel, RegressionModel};
 pub use shard::{
-    merge_shard_journals, run_sharded, HeartbeatGuard, MergeStats, QuarantinedUnit, ShardOptions,
-    ShardReport, WorkerCommand,
+    merge_shard_journals, run_sharded, HeartbeatGuard, MergeStats, ShardOptions, ShardReport,
+    WorkerCommand,
 };
 
 // Memory-state types live in `pi3d-layout` (the power-map generator needs

@@ -17,27 +17,38 @@
 //!   on respawn so a repeat crash pins exactly one unit;
 //! * a unit that kills its worker [`ShardOptions::max_unit_attempts`]
 //!   times is quarantined (persisted to a sidecar quarantine file and
-//!   surfaced in the run report's `quarantined_units` section) instead
-//!   of being retried forever;
+//!   surfaced in the run report's `quarantined_units` section, both as
+//!   one [`QuarantinedUnitRecord`] object) instead of being retried
+//!   forever;
 //! * SIGINT/SIGTERM on the supervisor fan out to every worker and map
 //!   to the existing 130/143 exit codes with a partial-report outcome.
 //!
 //! Merge is verification-first ([`merge_shard_journals`]): every shard
-//! header's FNV-1a config hash is cross-checked, per-record keys are
-//! recomputed, duplicate or out-of-slice unit keys are typed
-//! [`CoreError::Journal`] errors, and torn tails are dropped per shard
-//! exactly as `--resume` does. Record lines are carried over *verbatim*
-//! (never re-serialized) and sorted by unit, so resuming the merged
-//! journal reproduces the uninterrupted single-process output
-//! byte-identically at any shard count.
+//! header must name one slice (`shard_index < shard_count`) and carry
+//! the same kind and FNV-1a config hash, per-record keys are recomputed,
+//! duplicate or out-of-slice unit keys are typed [`CoreError::Journal`]
+//! errors, and torn tails are dropped per shard exactly as `--resume`
+//! does. Record lines are carried over *verbatim* (never re-serialized)
+//! and sorted by unit, so resuming the merged journal reproduces the
+//! uninterrupted single-process output byte-identically at any shard
+//! count.
+//!
+//! This module parses no sweep file itself. Shard journals, attempts
+//! logs and the quarantine sidecar are read through the line reader,
+//! header type and record check of [`crate::jobs`], and the sidecar is
+//! appended through its fsync'd line append, so a torn quarantine
+//! sidecar is handled exactly like a torn journal.
 
 use crate::error::CoreError;
-use crate::jobs::{journal_error, read_attempted_units, unit_key, JOURNAL_SCHEMA};
+use crate::jobs::{
+    journal_error, read_attempted_units, read_records, unit_key, JournalHeader, LineFile, LineLog,
+};
 use crate::serve::{EXIT_CANCELLED, EXIT_DEADLINE, EXIT_TERMINATED};
 use pi3d_telemetry::cancel::{self, SIGTERM};
+use pi3d_telemetry::report::QuarantinedUnitRecord;
 use pi3d_telemetry::rng::{jittered_backoff, SplitMix64};
 use pi3d_telemetry::{CancelToken, Json};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,34 +61,33 @@ fn shard_error(reason: impl Into<String>) -> CoreError {
     }
 }
 
+/// `path` with `suffix` appended to its file name.
+fn suffixed(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
 /// Path of shard `index`'s journal, derived from the merged journal's
 /// base path: `base.shard{index}`.
 pub fn shard_journal_path(base: &Path, index: usize) -> PathBuf {
-    let mut name = base.as_os_str().to_os_string();
-    name.push(format!(".shard{index}"));
-    PathBuf::from(name)
+    suffixed(base, &format!(".shard{index}"))
 }
 
 /// Path of the lease file guarding a shard journal: `journal.lease`.
 pub fn lease_path(journal: &Path) -> PathBuf {
-    let mut name = journal.as_os_str().to_os_string();
-    name.push(".lease");
-    PathBuf::from(name)
+    suffixed(journal, ".lease")
 }
 
 /// Path of the attempts log beside a shard journal: `journal.attempts`.
 pub fn attempts_path(journal: &Path) -> PathBuf {
-    let mut name = journal.as_os_str().to_os_string();
-    name.push(".attempts");
-    PathBuf::from(name)
+    suffixed(journal, ".attempts")
 }
 
 /// Path of the quarantine sidecar beside the merged journal base:
 /// `base.quarantine`.
 pub fn quarantine_path(base: &Path) -> PathBuf {
-    let mut name = base.as_os_str().to_os_string();
-    name.push(".quarantine");
-    PathBuf::from(name)
+    suffixed(base, ".quarantine")
 }
 
 #[cfg(unix)]
@@ -234,84 +244,32 @@ pub fn reclaim_stale_lease(path: &Path) -> Result<bool, CoreError> {
     Ok(true)
 }
 
-/// A quarantined work unit: it killed its worker process
-/// [`ShardOptions::max_unit_attempts`] times and is excluded from
-/// further retries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QuarantinedUnit {
-    /// Index of the poisoned unit.
-    pub unit: usize,
-    /// Its per-entry journal key (`unit_key`, 16 hex digits).
-    pub key: String,
-    /// Worker deaths attributed to it.
-    pub attempts: u32,
-    /// How the worker last died (e.g. `exit code 101`, `signal 9`).
-    pub last_exit: String,
-    /// The sweep kind it belongs to.
-    pub stage: String,
-}
-
-impl QuarantinedUnit {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("unit", Json::num(self.unit as f64)),
-            ("key", Json::str(self.key.clone())),
-            ("attempts", Json::num(f64::from(self.attempts))),
-            ("last_exit", Json::str(self.last_exit.clone())),
-            ("stage", Json::str(self.stage.clone())),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Option<QuarantinedUnit> {
-        Some(QuarantinedUnit {
-            unit: json.get("unit").and_then(Json::as_num)? as usize,
-            key: json.get("key").and_then(Json::as_str)?.to_owned(),
-            attempts: json.get("attempts").and_then(Json::as_num)? as u32,
-            last_exit: json.get("last_exit").and_then(Json::as_str)?.to_owned(),
-            stage: json.get("stage").and_then(Json::as_str)?.to_owned(),
-        })
-    }
-}
-
-/// Loads the quarantine sidecar (one JSON line per quarantined unit).
-/// A missing file is an empty quarantine.
+/// Loads the quarantine sidecar: one [`QuarantinedUnitRecord`] JSON line
+/// per unit that killed its worker [`ShardOptions::max_unit_attempts`]
+/// times. A missing file is an empty quarantine, and a torn final
+/// fragment (a supervisor killed mid-append) is dropped.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::Journal`] on I/O failure or a corrupt line.
-pub fn load_quarantine(path: &Path) -> Result<Vec<QuarantinedUnit>, CoreError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(journal_error(path, format!("cannot read quarantine: {e}"))),
-    };
-    let mut units = Vec::new();
-    for (line_no, line) in text.lines().enumerate() {
-        let unit = Json::parse(line)
-            .ok()
-            .as_ref()
-            .and_then(QuarantinedUnit::from_json)
-            .ok_or_else(|| {
-                journal_error(
-                    path,
-                    format!("corrupt quarantine record on line {}", line_no + 1),
-                )
-            })?;
-        units.push(unit);
-    }
-    Ok(units)
+pub fn load_quarantine(path: &Path) -> Result<Vec<QuarantinedUnitRecord>, CoreError> {
+    read_records(
+        path,
+        "quarantine",
+        "quarantine",
+        QuarantinedUnitRecord::from_json,
+    )
 }
 
-fn append_quarantine(path: &Path, unit: &QuarantinedUnit) -> Result<(), CoreError> {
-    use std::io::Write;
-    let mut file = std::fs::OpenOptions::new()
-        .append(true)
-        .create(true)
-        .open(path)
-        .map_err(|e| journal_error(path, format!("cannot open quarantine: {e}")))?;
-    let line = format!("{}\n", unit.to_json().to_compact_string());
-    file.write_all(line.as_bytes())
-        .and_then(|()| file.sync_data())
+/// Durably appends one unit to the quarantine sidecar, first cutting
+/// away a torn fragment so the new record starts on a clean line.
+fn append_quarantine(path: &Path, unit: &QuarantinedUnitRecord) -> Result<(), CoreError> {
+    let keep = LineFile::read_or_empty(path)
+        .map_err(|e| journal_error(path, format!("cannot read quarantine: {e}")))?
+        .complete_len();
+    LineLog::open(path, keep)
+        .map_err(|e| journal_error(path, format!("cannot open quarantine: {e}")))?
+        .append(&unit.to_json())
         .map_err(|e| journal_error(path, format!("cannot append quarantine: {e}")))
 }
 
@@ -398,7 +356,7 @@ pub struct ShardReport {
     /// Stale leases reclaimed (startup + crash recovery).
     pub leases_reclaimed: u32,
     /// Units quarantined for repeatedly killing their worker.
-    pub quarantined: Vec<QuarantinedUnit>,
+    pub quarantined: Vec<QuarantinedUnitRecord>,
     /// Units present in the merged journal.
     pub merged_units: usize,
     /// Torn tail fragments dropped across shard journals during merge.
@@ -418,55 +376,6 @@ pub struct MergeStats {
     pub units: usize,
     /// Torn tail fragments dropped.
     pub torn_dropped: usize,
-}
-
-struct ShardHeader {
-    kind: String,
-    config_hash: u64,
-    index: usize,
-    count: usize,
-}
-
-fn parse_shard_header(path: &Path, line: &str) -> Result<ShardHeader, CoreError> {
-    let header =
-        Json::parse(line).map_err(|e| journal_error(path, format!("corrupt header: {e}")))?;
-    let schema = header.get("journal").and_then(Json::as_str);
-    if schema != Some(JOURNAL_SCHEMA) {
-        return Err(journal_error(
-            path,
-            format!("unsupported schema {schema:?} (expected {JOURNAL_SCHEMA:?})"),
-        ));
-    }
-    let kind = header
-        .get("kind")
-        .and_then(Json::as_str)
-        .unwrap_or_default()
-        .to_owned();
-    let hash_text = header
-        .get("config_hash")
-        .and_then(Json::as_str)
-        .unwrap_or_default()
-        .to_owned();
-    let config_hash = u64::from_str_radix(&hash_text, 16)
-        .map_err(|_| journal_error(path, format!("unparseable config hash {hash_text:?}")))?;
-    let (index, count) = match (
-        header.get("shard_index").and_then(Json::as_num),
-        header.get("shard_count").and_then(Json::as_num),
-    ) {
-        (Some(i), Some(n)) => (i as usize, n as usize),
-        _ => {
-            return Err(journal_error(
-                path,
-                "not a shard journal (missing shard_index/shard_count header fields)",
-            ))
-        }
-    };
-    Ok(ShardHeader {
-        kind,
-        config_hash,
-        index,
-        count,
-    })
 }
 
 /// Merges shard journals into one whole-sweep journal, verification
@@ -491,109 +400,42 @@ pub fn merge_shard_journals(out: &Path, inputs: &[PathBuf]) -> Result<MergeStats
     if inputs.is_empty() {
         return Err(shard_error("merge needs at least one shard journal"));
     }
-    let mut expected: Option<ShardHeader> = None;
+    let mut expected: Option<JournalHeader> = None;
     let mut seen_indices = HashSet::new();
     // unit -> (raw line, source input) — raw lines keep byte fidelity.
-    let mut records: HashMap<usize, (String, usize)> = HashMap::new();
+    let mut records: BTreeMap<usize, (String, usize)> = BTreeMap::new();
     let mut torn_dropped = 0usize;
     for (input_idx, path) in inputs.iter().enumerate() {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| journal_error(path, format!("cannot read: {e}")))?;
-        let (complete, fragment) = match text.rfind('\n') {
-            Some(last) => (&text[..last], &text[last + 1..]),
-            None => ("", text.as_str()),
+        let file =
+            LineFile::read(path).map_err(|e| journal_error(path, format!("cannot read: {e}")))?;
+        torn_dropped += usize::from(file.torn());
+        let (header, lines) = file.journal(path)?;
+        let Some((index, count)) = header.shard else {
+            return Err(journal_error(
+                path,
+                "not a shard journal (missing shard_index/shard_count header fields)",
+            ));
         };
-        if !fragment.is_empty() {
-            torn_dropped += 1;
-        }
-        let mut lines = complete.lines();
-        let header_line = lines
-            .next()
-            .ok_or_else(|| journal_error(path, "no complete header line"))?;
-        let header = parse_shard_header(path, header_line)?;
-        if header.count != inputs.len() {
+        if count != inputs.len() {
             return Err(journal_error(
                 path,
                 format!(
-                    "header says {} shards but {} journals were given to merge",
-                    header.count,
+                    "header says {count} shards but {} journals were given to merge",
                     inputs.len()
                 ),
             ));
         }
         if let Some(expected) = &expected {
-            if header.kind != expected.kind {
-                return Err(journal_error(
-                    path,
-                    format!(
-                        "journal is for a {:?} run, not {:?}",
-                        header.kind, expected.kind
-                    ),
-                ));
-            }
-            if header.config_hash != expected.config_hash {
-                return Err(journal_error(
-                    path,
-                    format!(
-                        "journal was written for config hash {:016x}, the other shards are \
-                         {:016x} — refusing to mix results from different sweeps",
-                        header.config_hash, expected.config_hash
-                    ),
-                ));
-            }
+            header.check_same_sweep(path, expected, "the other shards are")?;
         }
-        if !seen_indices.insert(header.index) {
+        if !seen_indices.insert(index) {
             return Err(journal_error(
                 path,
-                format!("duplicate shard index {} across inputs", header.index),
+                format!("duplicate shard index {index} across inputs"),
             ));
         }
-        let (hash, index, count) = (header.config_hash, header.index, header.count);
-        if expected.is_none() {
-            expected = Some(header);
-        }
-        for (line_no, line) in lines.enumerate() {
-            let record = Json::parse(line).map_err(|e| {
-                journal_error(path, format!("corrupt record on line {}: {e}", line_no + 2))
-            })?;
-            let unit = record
-                .get("unit")
-                .and_then(Json::as_num)
-                .filter(|v| *v >= 0.0 && v.fract() == 0.0)
-                .map(|v| v as usize)
-                .ok_or_else(|| {
-                    journal_error(path, format!("record on line {} has no unit", line_no + 2))
-                })?;
-            let key = record.get("key").and_then(Json::as_str).unwrap_or("");
-            let expected_key = format!("{:016x}", unit_key(hash, unit));
-            if key != expected_key {
-                return Err(journal_error(
-                    path,
-                    format!(
-                        "record on line {} for unit {unit} carries key {key}, \
-                         expected {expected_key}",
-                        line_no + 2
-                    ),
-                ));
-            }
-            if unit_key(hash, unit) % count as u64 != index as u64 {
-                return Err(journal_error(
-                    path,
-                    format!(
-                        "record on line {} for unit {unit} is outside shard {index} of {count}",
-                        line_no + 2
-                    ),
-                ));
-            }
-            if record.get("payload").is_none() {
-                return Err(journal_error(
-                    path,
-                    format!(
-                        "record for unit {unit} has no payload (line {})",
-                        line_no + 2
-                    ),
-                ));
-            }
+        for (line_no, line) in lines {
+            let (unit, _) = header.check_record(path, line_no, line)?;
             if let Some((_, prev_input)) = records.get(&unit) {
                 return Err(journal_error(
                     path,
@@ -605,59 +447,49 @@ pub fn merge_shard_journals(out: &Path, inputs: &[PathBuf]) -> Result<MergeStats
             }
             records.insert(unit, (line.to_owned(), input_idx));
         }
+        expected.get_or_insert(header);
     }
     let expected = expected.ok_or_else(|| shard_error("no shard headers found"))?;
 
     // Plain (unsharded) header + records sorted by unit: exactly the
     // file an uninterrupted single-process run leaves behind, modulo
     // on-disk record order, which resume never depends on.
-    let header = Json::obj([
-        ("journal", Json::str(JOURNAL_SCHEMA)),
-        ("kind", Json::str(expected.kind.clone())),
-        (
-            "config_hash",
-            Json::str(format!("{:016x}", expected.config_hash)),
-        ),
-    ]);
-    let mut units: Vec<usize> = records.keys().copied().collect();
-    units.sort_unstable();
-    let mut merged = format!("{}\n", header.to_compact_string());
-    for unit in &units {
-        merged.push_str(&records[unit].0);
+    let header = JournalHeader {
+        shard: None,
+        ..expected
+    };
+    let mut merged = header.to_json().to_compact_string();
+    merged.push('\n');
+    for (line, _) in records.values() {
+        merged.push_str(line);
         merged.push('\n');
     }
     pi3d_telemetry::fsio::atomic_write(out, merged.as_bytes())
         .map_err(|e| journal_error(out, format!("cannot write merged journal: {e}")))?;
     Ok(MergeStats {
-        kind: expected.kind,
-        config_hash: expected.config_hash,
+        kind: header.kind,
+        config_hash: header.config_hash,
         shards: inputs.len(),
-        units: units.len(),
+        units: records.len(),
         torn_dropped,
     })
 }
 
 /// Lenient unit listing of a shard journal, for crash blame and
-/// completed-count reporting (full validation happens at merge/resume).
+/// completed-count reporting: the units of the records that pass the
+/// journal's record check, skipping any that fail, and none for a
+/// missing file or an unreadable header (full validation happens at
+/// merge/resume).
 fn journaled_units(path: &Path) -> Vec<usize> {
-    let Ok(text) = std::fs::read_to_string(path) else {
+    let Ok(file) = LineFile::read(path) else {
         return Vec::new();
     };
-    let complete = match text.rfind('\n') {
-        Some(last) => &text[..last],
-        None => "",
+    let Ok((header, lines)) = file.journal(path) else {
+        return Vec::new();
     };
-    complete
-        .lines()
-        .skip(1)
-        .filter_map(|line| {
-            Json::parse(line)
-                .ok()
-                .as_ref()
-                .and_then(|r| r.get("unit"))
-                .and_then(Json::as_num)
-                .map(|v| v as usize)
-        })
+    lines
+        .filter_map(|(line_no, line)| header.check_record(path, line_no, line).ok())
+        .map(|(unit, _)| unit)
         .collect()
 }
 
@@ -700,7 +532,7 @@ fn spawn_worker(
     opts: &ShardOptions,
     index: usize,
     slot: &ShardSlot,
-    quarantined: &[QuarantinedUnit],
+    quarantined: &[QuarantinedUnitRecord],
 ) -> Result<Child, CoreError> {
     let mut cmd = Command::new(&opts.worker.program);
     cmd.args(&opts.worker.args)
@@ -912,10 +744,10 @@ pub fn run_sharded(opts: &ShardOptions) -> Result<ShardReport, CoreError> {
                 let count = attempts.entry(unit).or_insert(0);
                 *count += 1;
                 if *count >= opts.max_unit_attempts {
-                    let record = QuarantinedUnit {
-                        unit,
+                    let record = QuarantinedUnitRecord {
+                        unit: unit as u64,
                         key: format!("{:016x}", unit_key(opts.config_hash, unit)),
-                        attempts: *count,
+                        attempts: u64::from(*count),
                         last_exit: exit.clone(),
                         stage: opts.kind.clone(),
                     };
@@ -1185,17 +1017,54 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_file_roundtrips() {
-        let path = temp_path("quarantine");
-        let _ = std::fs::remove_file(&path);
-        assert!(load_quarantine(&path).unwrap().is_empty());
-        let record = QuarantinedUnit {
-            unit: 7,
+    fn merge_rejects_shard_fields_that_name_no_slice() {
+        let items: Vec<u64> = (0..8).collect();
+        let base = temp_path("merge-slice-fields");
+        let inputs = write_shard_journals(&base, &items, 2);
+        let a = std::fs::read_to_string(&inputs[0]).unwrap();
+        let b = std::fs::read_to_string(&inputs[1]).unwrap();
+        let header_a = a.lines().next().unwrap();
+        // Each forgery keeps the index set at two distinct values and the
+        // count equal to the input count once truncated to an integer, so
+        // only the header check itself can refuse it.
+        for forged in [
+            format!(
+                "{}\n",
+                header_a.replace("\"shard_index\":0", "\"shard_index\":5")
+            ),
+            b.replacen("\"shard_index\":1", "\"shard_index\":1.5", 1),
+            b.replacen("\"shard_count\":2", "\"shard_count\":2.5", 1),
+        ] {
+            std::fs::write(&inputs[1], &forged).unwrap();
+            let err = merge_shard_journals(&base, &inputs).unwrap_err();
+            assert!(matches!(err, CoreError::Journal { .. }), "{err}");
+            assert!(
+                err.to_string().contains("names no slice"),
+                "{forged}: {err}"
+            );
+        }
+        for input in inputs {
+            let _ = std::fs::remove_file(input);
+        }
+        let _ = std::fs::remove_file(&base);
+    }
+
+    fn quarantined(unit: u64) -> QuarantinedUnitRecord {
+        QuarantinedUnitRecord {
+            unit,
             key: "00ff00ff00ff00ff".to_owned(),
             attempts: 3,
             last_exit: "signal 9".to_owned(),
             stage: "fault_sweep".to_owned(),
-        };
+        }
+    }
+
+    #[test]
+    fn quarantine_file_roundtrips() {
+        let path = temp_path("quarantine");
+        let _ = std::fs::remove_file(&path);
+        assert!(load_quarantine(&path).unwrap().is_empty());
+        let record = quarantined(7);
         append_quarantine(&path, &record).unwrap();
         assert_eq!(load_quarantine(&path).unwrap(), vec![record.clone()]);
         append_quarantine(&path, &record).unwrap();
@@ -1203,6 +1072,25 @@ mod tests {
         std::fs::write(&path, "not json\n").unwrap();
         let err = load_quarantine(&path).unwrap_err();
         assert!(err.to_string().contains("line 1"), "{err}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn torn_quarantine_sidecar_loads_and_takes_the_next_append() {
+        // A supervisor killed mid-append leaves a fragment after the last
+        // complete record; the restarted supervisor must load the good
+        // record and start its own append on a clean line.
+        let path = temp_path("quarantine-torn");
+        let first = quarantined(5);
+        std::fs::write(
+            &path,
+            format!("{}\n{{\"unit\":6,\"ke", first.to_json().to_compact_string()),
+        )
+        .unwrap();
+        assert_eq!(load_quarantine(&path).unwrap(), vec![first.clone()]);
+        let second = quarantined(6);
+        append_quarantine(&path, &second).unwrap();
+        assert_eq!(load_quarantine(&path).unwrap(), vec![first, second]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -126,6 +126,33 @@ pub struct QuarantinedUnitRecord {
     pub stage: String,
 }
 
+impl QuarantinedUnitRecord {
+    /// The record as one JSON object: a line of the shard supervisor's
+    /// quarantine sidecar and an entry of the run report's
+    /// `quarantined_units` section.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("unit", Json::num(self.unit as f64)),
+            ("key", Json::str(self.key.clone())),
+            ("attempts", Json::num(self.attempts as f64)),
+            ("last_exit", Json::str(self.last_exit.clone())),
+            ("stage", Json::str(self.stage.clone())),
+        ])
+    }
+
+    /// Parses [`QuarantinedUnitRecord::to_json`]'s object; `None` when a
+    /// field is missing or of the wrong type.
+    pub fn from_json(json: &Json) -> Option<QuarantinedUnitRecord> {
+        Some(QuarantinedUnitRecord {
+            unit: json.get("unit").and_then(Json::as_num)? as u64,
+            key: json.get("key").and_then(Json::as_str)?.to_owned(),
+            attempts: json.get("attempts").and_then(Json::as_num)? as u64,
+            last_exit: json.get("last_exit").and_then(Json::as_str)?.to_owned(),
+            stage: json.get("stage").and_then(Json::as_str)?.to_owned(),
+        })
+    }
+}
+
 /// How a run ended: success, typed failure, cooperative cancellation, or
 /// deadline expiry — written into the report so partial artifacts are
 /// self-describing.
@@ -421,15 +448,10 @@ impl RunReport {
                 ("mean_islanded_nodes", Json::num(r.mean_islanded_nodes)),
             ])
         });
-        let quarantined = self.quarantined_units.iter().map(|q| {
-            Json::obj([
-                ("unit", Json::num(q.unit as f64)),
-                ("key", Json::str(q.key.clone())),
-                ("attempts", Json::num(q.attempts as f64)),
-                ("last_exit", Json::str(q.last_exit.clone())),
-                ("stage", Json::str(q.stage.clone())),
-            ])
-        });
+        let quarantined = self
+            .quarantined_units
+            .iter()
+            .map(QuarantinedUnitRecord::to_json);
         let experiments = self.experiments.iter().map(|e| {
             Json::obj([
                 ("name", Json::str(e.name.clone())),
