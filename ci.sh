@@ -428,24 +428,30 @@ else
     echo "mg smoke OK (grep check)"
 fi
 
-echo "==> multigrid answers vs the benchmark's golden file (fine-mg, seed 7919)"
-# A short run of the benchmark's fine-mg workload: every multigrid solve
-# of the 8,192-node mesh must match perfbench/golden.txt (1e-6 relative)
-# and repeat its iteration count, or the run reports incorrect.
+echo "==> solver answers vs the benchmark's golden file (seed 7919)"
+# Short runs of three benchmark workloads: every answer must match
+# perfbench/golden.txt (1e-6 relative) and every solve repeat its
+# iteration count, or the run reports incorrect. fine-mg solves the
+# 8,192-node mesh with multigrid (IC(0) only as its smoother);
+# serve-mixed builds IC(0) LUTs on default meshes and answers warm
+# solves; dse solves all 4,320 coarse design points with IC(0), one
+# cycle of about 20 s.
 if command -v python3 > /dev/null 2>&1; then
-    mg_golden_out="$(mktemp /tmp/pi3d-mg-golden.XXXXXX.log)"
-    trap 'rm -f "$report" "$cfg" "$fault_report" "$dead_cfg" "$fault_err" "$trace_out" "$trace_err" "$mg_golden_out"; rm -rf "$jobdir" "$mg_dir"' EXIT
-    python3 perfbench/run.py --workload fine-mg --seed 7919 --seconds 2 \
-        --trace 0 > "$mg_golden_out"
-    tail -n 1 "$mg_golden_out" | python3 -c '
+    golden_out="$(mktemp /tmp/pi3d-golden.XXXXXX.log)"
+    trap 'rm -f "$report" "$cfg" "$fault_report" "$dead_cfg" "$fault_err" "$trace_out" "$trace_err" "$golden_out"; rm -rf "$jobdir" "$mg_dir"' EXIT
+    for workload in fine-mg serve-mixed dse; do
+        python3 perfbench/run.py --workload "$workload" --seed 7919 --seconds 2 \
+            --trace 0 > "$golden_out"
+        tail -n 1 "$golden_out" | python3 -c '
 import json, sys
 r = json.loads(sys.stdin.read())
 assert r["correct"] is True and r["failed"] == 0, {k: r[k] for k in r if k != "metrics"}
-print("fine-mg golden OK:", r["attempted"], "solves, 0 failed")
-'
-    rm -f "$mg_golden_out"
+print(sys.argv[1], "golden OK:", r["attempted"], "ops, 0 failed")
+' "$workload"
+    done
+    rm -f "$golden_out"
 else
-    echo "fine-mg golden check skipped (needs python3)"
+    echo "golden check skipped (needs python3)"
 fi
 
 echo "==> solver bench regression guard (vs committed BENCH_solver.json)"

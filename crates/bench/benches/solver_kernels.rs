@@ -1,6 +1,6 @@
 //! Solver-kernel microbenchmarks: SpMV, preconditioned CG, IC(0)
-//! factorization, and mesh assembly — the primitives behind every
-//! experiment.
+//! factorization and apply, and mesh assembly — the primitives behind
+//! every experiment.
 
 use pi3d_bench::harness::{BatchSize, Harness};
 use pi3d_layout::{Benchmark, StackDesign};
@@ -21,6 +21,13 @@ fn bench(c: &mut Harness) {
     });
     group.bench_function("ic0_factorization", |b| {
         b.iter(|| IncompleteCholesky::new(&matrix).expect("factors"))
+    });
+    // The forward and backward substitution every IC(0)-preconditioned
+    // CG iteration and every multigrid smoothing step pays.
+    let ic0 = IncompleteCholesky::new(&matrix).expect("factors");
+    group.bench_function("ic0_apply", |b| {
+        let mut z = vec![0.0; matrix.dim()];
+        b.iter(|| ic0.apply(&loads, &mut z))
     });
     for (name, pc) in [
         ("cg_jacobi", Preconditioner::Jacobi),

@@ -288,6 +288,15 @@ fn galerkin(a: &CsrMatrix, p: &Interp, coarse_dim: usize) -> Result<CsrMatrix, S
     coo.into_csr()
 }
 
+/// The Galerkin operator one level below `a` over `grids`, as
+/// [`Multigrid::new`] builds it.
+#[cfg(test)]
+pub(crate) fn coarse_operator(a: &CsrMatrix, grids: &[StencilGrid]) -> CsrMatrix {
+    let coarse = coarsen_grids(grids);
+    let interp = build_interp(grids, &coarse);
+    galerkin(a, &interp, total_nodes(&coarse)).expect("the Galerkin product assembles")
+}
+
 fn inverse_diagonal(diag: &[f64]) -> Result<Vec<f64>, SolverError> {
     diag.iter()
         .enumerate()
