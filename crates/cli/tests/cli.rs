@@ -304,19 +304,22 @@ fn faults_trace_out_progress_and_analyzer() {
             .any(|(n, c, _)| n.starts_with("fault_sweep[") && *c == "jobs"),
         "no per-unit jobs slices: {complete_names:?}"
     );
-    // With two workers the 6 units (2 trials x 3 levels) fan across at
-    // least two distinct threads.
-    let unit_tids: std::collections::HashSet<u64> = complete_names
+    let cmd_tid = complete_names
         .iter()
-        .filter(|(n, c, _)| n.starts_with("fault_sweep[") && *c == "jobs")
-        .map(|&(_, _, tid)| tid as u64)
+        .find(|(n, c, _)| *n == "cmd:faults" && *c == "cli")
+        .map(|&(_, _, tid)| tid)
+        .unwrap_or_else(|| panic!("no CLI command slice: {complete_names:?}"));
+    // With two workers the 6 units (2 trials x 3 levels) run on the
+    // pool's threads, never on the command's own thread. (That the pool
+    // really runs two at once is `pi3d_telemetry::par`'s test.)
+    let on_cmd_thread: Vec<&str> = complete_names
+        .iter()
+        .filter(|&&(n, c, tid)| n.starts_with("fault_sweep[") && c == "jobs" && tid == cmd_tid)
+        .map(|&(n, _, _)| n)
         .collect();
-    assert!(unit_tids.len() >= 2, "units on one thread: {unit_tids:?}");
     assert!(
-        complete_names
-            .iter()
-            .any(|(n, c, _)| *n == "cmd:faults" && *c == "cli"),
-        "no CLI command slice: {complete_names:?}"
+        on_cmd_thread.is_empty(),
+        "units on the command thread {cmd_tid}: {on_cmd_thread:?}"
     );
 
     let out = pi3d(&["trace", trace_path.to_str().unwrap(), "--top", "5"]);

@@ -16,6 +16,8 @@ use std::io::{self, Write};
 /// ideal supply. Every matrix off-diagonal becomes one resistor and every
 /// node's net conductance-to-ground becomes a grounding resistor, so the
 /// deck's operating point reproduces the solver's drop vector exactly.
+/// Values are written in the shortest exponent form that parses back to
+/// the same `f64` bits, so the deck loses no precision.
 ///
 /// # Errors
 ///
@@ -74,13 +76,13 @@ pub fn export_spice<W: Write>(
                 if j > i {
                     // One resistor per symmetric pair.
                     resistors += 1;
-                    writeln!(writer, "R{i}_{j} n{i} n{j} {:.6e}", -1.0 / g)?;
+                    writeln!(writer, "R{i}_{j} n{i} n{j} {:e}", -1.0 / g)?;
                 }
             }
         }
         if to_ground > 1e-15 {
             resistors += 1;
-            writeln!(writer, "RG{i} n{i} 0 {:.6e}", 1.0 / to_ground)?;
+            writeln!(writer, "RG{i} n{i} 0 {:e}", 1.0 / to_ground)?;
         }
     }
 
@@ -90,7 +92,7 @@ pub fn export_spice<W: Write>(
             sources += 1;
             // Current flows out of the node toward SPICE ground, producing
             // a positive node voltage (= IR drop).
-            writeln!(writer, "I{i} n{i} 0 DC {amps:.6e}")?;
+            writeln!(writer, "I{i} n{i} 0 DC {amps:e}")?;
         }
     }
 
@@ -173,7 +175,7 @@ mod tests {
         }
 
         // Compare against the original matrix (relative tolerance covers
-        // the 6-significant-digit formatting).
+        // re-summing the conductances in a different order).
         let matrix = mesh.matrix();
         for i in 0..n {
             for (j, v) in matrix.row(i) {
@@ -192,6 +194,58 @@ mod tests {
                 "load {i}"
             );
         }
+    }
+
+    /// Every value in the coarse baseline deck parses back to the exact
+    /// bits the exporter computed from the matrix and the load vector.
+    #[test]
+    fn deck_values_parse_back_bit_for_bit() {
+        let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
+        let mesh = StackMesh::new(&design, MeshOptions::coarse()).unwrap();
+        let loads = mesh.load_vector(&"0-0-0-2".parse().unwrap(), 1.0);
+        let mut buf = Vec::new();
+        export_spice(&mesh, &loads, "coarse baseline", &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+
+        let mut want = HashMap::<String, f64>::new();
+        let matrix = mesh.matrix();
+        for i in 0..matrix.dim() {
+            let mut to_ground = 0.0;
+            for (j, g) in matrix.row(i) {
+                to_ground += g;
+                if j > i {
+                    want.insert(format!("R{i}_{j}"), -1.0 / g);
+                }
+            }
+            if to_ground > 1e-15 {
+                want.insert(format!("RG{i}"), 1.0 / to_ground);
+            }
+        }
+        for (i, &amps) in loads.iter().enumerate() {
+            if amps != 0.0 {
+                want.insert(format!("I{i}"), amps);
+            }
+        }
+
+        let mut seen = 0usize;
+        for line in text.lines() {
+            let Some(name) = line.split_whitespace().next() else {
+                continue;
+            };
+            if !(name.starts_with('R') || name.starts_with('I')) {
+                continue;
+            }
+            let written = line.split_whitespace().last().unwrap();
+            let parsed: f64 = written.parse().unwrap();
+            let expected = want[name];
+            assert_eq!(
+                parsed.to_bits(),
+                expected.to_bits(),
+                "{name}: wrote {written}, value {expected:e}"
+            );
+            seen += 1;
+        }
+        assert_eq!(seen, want.len(), "every element written once");
     }
 
     #[test]

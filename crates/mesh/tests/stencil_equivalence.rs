@@ -120,6 +120,60 @@ fn real_meshes_extract_stencils_that_apply_bitwise() {
     assert!(faulted_seen >= 4, "too few faulted meshes survived");
 }
 
+/// Exact CG iteration counts for the ddr3-off baseline (state 0-0-0-2,
+/// full activity) on refined meshes, per preconditioner. Solves are
+/// deterministic, so any change to assembly, stencil extraction, a
+/// preconditioner or the CG loop that moves the arithmetic shows up here.
+#[test]
+fn refined_baseline_iteration_counts_are_pinned() {
+    let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
+    let state: MemoryState = "0-0-0-2".parse().expect("literal");
+    // (DRAM grid, [Jacobi, IC(0), MG] iterations).
+    let cases = [(40, [798, 91, 16]), (80, [1_664, 189, 20])];
+    let preconds = [
+        Preconditioner::Jacobi,
+        Preconditioner::IncompleteCholesky,
+        Preconditioner::Multigrid,
+    ];
+    for (grid, want) in cases {
+        for (pc, want) in preconds.into_iter().zip(want) {
+            let mesh = StackMesh::new(
+                &design,
+                MeshOptions {
+                    dram_nx: grid,
+                    dram_ny: grid,
+                    logic_nx: grid + 2,
+                    logic_ny: grid,
+                    preconditioner: pc,
+                    threads: 1,
+                    ..MeshOptions::default()
+                },
+            )
+            .expect("mesh builds");
+            let rhs = mesh.load_vector(&state, 1.0);
+
+            let stencil = mesh
+                .prepared()
+                .stencil()
+                .unwrap_or_else(|| panic!("grid {grid}: regular mesh must extract a stencil"));
+            let mut want_y = vec![0.0; rhs.len()];
+            let mut got_y = vec![0.0; rhs.len()];
+            mesh.matrix().mul_vec_into(&rhs, &mut want_y);
+            stencil.apply_into(&rhs, &mut got_y);
+            for i in 0..rhs.len() {
+                assert_eq!(
+                    want_y[i].to_bits(),
+                    got_y[i].to_bits(),
+                    "grid {grid}, {pc:?}: apply differs at row {i}"
+                );
+            }
+
+            let solution = mesh.prepared().solve(&rhs, None).expect("solves");
+            assert_eq!(solution.iterations, want, "grid {grid}, {pc:?}");
+        }
+    }
+}
+
 #[test]
 fn multigrid_matches_jacobi_and_ic_with_fewer_iterations() {
     let state: MemoryState = "0-0-0-2".parse().expect("literal");

@@ -278,6 +278,31 @@ mod tests {
     }
 
     #[test]
+    fn two_threads_run_two_items_at_once() {
+        // A rendezvous: each item waits until both have started, which
+        // only happens if they run on two threads at the same time. The
+        // deadline turns a pool that runs items one after another into a
+        // failure instead of a hang.
+        use std::sync::{Condvar, Mutex};
+        let started = Mutex::new(0usize);
+        let both_started = Condvar::new();
+        let met = parallel_map(&[0u8, 1], 2, |_, _| {
+            let mut count = started.lock().expect("no item panics holding the lock");
+            *count += 1;
+            both_started.notify_all();
+            let (_count, wait) = both_started
+                .wait_timeout_while(count, std::time::Duration::from_secs(10), |n| *n < 2)
+                .expect("no item panics holding the lock");
+            !wait.timed_out()
+        });
+        assert_eq!(
+            met,
+            vec![true, true],
+            "items did not overlap on two threads"
+        );
+    }
+
+    #[test]
     fn uneven_work_still_lands_in_order() {
         // Make early items slow so late items finish first on other workers.
         let items: Vec<u64> = (0..16).collect();

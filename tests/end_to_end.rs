@@ -40,6 +40,36 @@ fn design_to_policy_pipeline_runs_end_to_end() {
 }
 
 #[test]
+fn event_loop_matches_reference_stepper_on_a_platform_lut() {
+    // The equivalence suite in pi3d-memsim drives synthetic LUTs; this
+    // runs both loops on the LUT the platform builds for the ddr3-off
+    // baseline and on the paper's read stream, as `simulate` and Table 6
+    // do.
+    let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
+    let mesh = platform().evaluate(&design).expect("design evaluates");
+    let lut = build_ir_lut_from_mesh(&mesh, SimConfig::paper_ddr3().max_powered_per_die)
+        .expect("LUT builds");
+    let requests = WorkloadSpec::paper_ddr3().generate();
+    let constraint = MilliVolts(24.0);
+    for policy in [
+        ReadPolicy::standard(),
+        ReadPolicy::ir_aware_fcfs(constraint),
+        ReadPolicy::ir_aware_distr(constraint),
+    ] {
+        let sim = MemorySimulator::new(
+            TimingParams::ddr3_1600(),
+            SimConfig::paper_ddr3(),
+            policy,
+            lut.clone(),
+        );
+        let event = sim.run(&requests).expect("event loop completes");
+        let reference = sim.run_reference(&requests).expect("stepper completes");
+        assert_eq!(event, reference, "{policy:?}");
+        assert_eq!(event.completed, 10_000, "{policy:?}");
+    }
+}
+
+#[test]
 fn headline_packaging_results_hold() {
     let p = platform();
     let state: MemoryState = "0-0-0-2".parse().unwrap();
