@@ -16,6 +16,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --offline --all-targets -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --offline --no-deps (rustdoc warnings are errors)"
+# Catches doc links to items that no longer exist. `--lib` skips the bin
+# targets, whose `pi3d` output name collides with the facade library's.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --offline
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
 

@@ -342,7 +342,7 @@ fn print_usage() {
          pi3d call     <addr> [REQUEST_JSON ...]   (reads stdin lines if no args)\n  \
                        [--retries N] [--retry-base-ms MS] [--retry-seed N]\n  \
                        [--timeout SECS]\n\
-         global flags: [--threads N] [--precond jacobi|ic|mg|identity]\n\
+         global flags: [--threads N] [--precond jacobi|ic|mg]\n\
                        [--log-level off|error|warn|info|debug|trace]\n\
                        [--metrics-out FILE] [--trace-out FILE] [--trace-capacity N]\n\
                        [--progress [json]]\n\
@@ -520,7 +520,10 @@ fn transient(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let state = state_of(args, &design)?;
     let mut options = TransientOptions::default();
     if let Some(steps) = args.flag("steps") {
-        options.steps = steps.parse()?;
+        options.steps = match steps.parse() {
+            Ok(n) if n > 0 => n,
+            _ => return Err(format!("--steps must be a positive integer, got {steps}").into()),
+        };
     }
     let result = run_transient(&design, mesh_opts, options, &state)?;
     println!("DC drop        : {:.2} mV", result.dc_mv);
@@ -547,7 +550,9 @@ fn lut_command(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 fn simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let (design, options) = load_design_and_options(args)?;
     let constraint = MilliVolts(match args.flag("constraint") {
-        Some(c) => c.parse()?,
+        Some(c) => c
+            .parse()
+            .map_err(|_| format!("--constraint must be a number of mV, got {c}"))?,
         None => 24.0,
     });
     let policies: Vec<ReadPolicy> = match args.flag("policy").unwrap_or("distr") {
@@ -562,7 +567,10 @@ fn simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         other => return Err(format!("unknown policy {other:?}").into()),
     };
     let reads: usize = match args.flag("reads") {
-        Some(r) => r.parse()?,
+        Some(r) => match r.parse() {
+            Ok(n) if n > 0 => n,
+            _ => return Err(format!("--reads must be a positive integer, got {r}").into()),
+        },
         None => 10_000,
     };
 
@@ -654,18 +662,27 @@ fn simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 fn optimize(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let benchmark =
         config::parse_benchmark(args.positional.get(1).ok_or("missing benchmark argument")?)?;
+    // Checked up front: `Characterization::optimize` asserts it, but only
+    // after the whole characterization has run.
     let alpha: f64 = match args.flag("alpha") {
-        Some(a) => a.parse()?,
+        Some(a) => a
+            .parse()
+            .map_err(|_| format!("--alpha must be a number, got {a}"))?,
         None => 0.3,
     };
-    let threads: usize = match args.flag("threads") {
-        Some(t) => t.parse()?,
+    if !(0.0..=1.0).contains(&alpha) {
+        return Err("--alpha must be in [0, 1]".into());
+    }
+    let options = mesh_options_from(args, MeshOptions::coarse())?;
+    // The sweep fans out over every core unless `--threads` is given.
+    let threads = match args.flag("threads") {
+        Some(_) => options.threads,
         None => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4),
     };
 
-    let platform = Platform::new(mesh_options_from(args, MeshOptions::coarse())?);
+    let platform = Platform::new(options);
     let ctx = match shard_cmd::shard_mode(args)? {
         ShardMode::Worker {
             index,

@@ -1,8 +1,11 @@
 //! Integration tests driving the compiled `pi3d` binary end to end.
 
+mod common;
+
+use common::Scratch;
 use pi3d_telemetry::Json;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn pi3d(args: &[&str]) -> Output {
@@ -12,9 +15,7 @@ fn pi3d(args: &[&str]) -> Output {
         .expect("binary runs")
 }
 
-fn write_config(name: &str, body: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("pi3d-cli-tests");
-    fs::create_dir_all(&dir).expect("temp dir");
+fn write_config(dir: &Path, name: &str, body: &str) -> PathBuf {
     let path = dir.join(name);
     fs::write(&path, body).expect("config written");
     path
@@ -22,7 +23,8 @@ fn write_config(name: &str, body: &str) -> PathBuf {
 
 #[test]
 fn analyze_reports_ir_drop() {
-    let cfg = write_config("analyze.cfg", "benchmark = ddr3-off\n");
+    let dir = Scratch::new("analyze_reports_ir_drop");
+    let cfg = write_config(&dir, "analyze.cfg", "benchmark = ddr3-off\n");
     let out = pi3d(&["analyze", cfg.to_str().unwrap(), "--grid", "10"]);
     assert!(
         out.status.success(),
@@ -36,7 +38,8 @@ fn analyze_reports_ir_drop() {
 
 #[test]
 fn analyze_both_nets_reports_total() {
-    let cfg = write_config("nets.cfg", "benchmark = ddr3-off\n");
+    let dir = Scratch::new("analyze_both_nets_reports_total");
+    let cfg = write_config(&dir, "nets.cfg", "benchmark = ddr3-off\n");
     let out = pi3d(&[
         "analyze",
         cfg.to_str().unwrap(),
@@ -52,8 +55,12 @@ fn analyze_both_nets_reports_total() {
 
 #[test]
 fn export_writes_svg_and_spice() {
-    let cfg = write_config("export.cfg", "benchmark = ddr3-off\nwire_bond = true\n");
-    let dir = std::env::temp_dir().join("pi3d-cli-tests");
+    let dir = Scratch::new("export_writes_svg_and_spice");
+    let cfg = write_config(
+        &dir,
+        "export.cfg",
+        "benchmark = ddr3-off\nwire_bond = true\n",
+    );
     let svg = dir.join("out.svg");
     let sp = dir.join("out.sp");
     let out = pi3d(&[
@@ -79,7 +86,8 @@ fn export_writes_svg_and_spice() {
 
 #[test]
 fn bad_config_fails_with_line_number() {
-    let cfg = write_config("bad.cfg", "benchmark = ddr3-off\nm2_usage = lots\n");
+    let dir = Scratch::new("bad_config_fails_with_line_number");
+    let cfg = write_config(&dir, "bad.cfg", "benchmark = ddr3-off\nm2_usage = lots\n");
     let out = pi3d(&["analyze", cfg.to_str().unwrap()]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -106,7 +114,8 @@ fn missing_file_is_a_clean_error() {
 /// instead of running without it (no report, no journal).
 #[test]
 fn flag_without_a_value_is_a_usage_error() {
-    let cfg = write_config("novalue.cfg", "benchmark = ddr3-off\n");
+    let dir = Scratch::new("flag_without_a_value_is_a_usage_error");
+    let cfg = write_config(&dir, "novalue.cfg", "benchmark = ddr3-off\n");
     let cfg = cfg.to_str().unwrap();
     let cases: [(&[&str], &str); 3] = [
         (
@@ -145,6 +154,65 @@ fn flag_without_a_value_is_a_usage_error() {
     }
 }
 
+/// A malformed or out-of-range number fails at once, naming its flag.
+/// `optimize --alpha 7` used to characterize the whole design space
+/// first and then panic; `simulate --reads 0` built the LUT and then
+/// panicked generating an empty workload.
+#[test]
+fn bad_numbers_fail_early_naming_the_flag() {
+    let dir = Scratch::new("bad_numbers_fail_early_naming_the_flag");
+    let cfg = write_config(&dir, "numbers.cfg", "benchmark = ddr3-off\n");
+    let cfg = cfg.to_str().unwrap();
+    let optimize = ["optimize", "ddr3-off", "--grid", "4", "--threads", "1"];
+    let cases: [(&[&str], &[&str], &str); 9] = [
+        (&optimize, &["--alpha", "7"], "--alpha must be in [0, 1]"),
+        (&optimize, &["--alpha", "nan"], "--alpha must be in [0, 1]"),
+        (
+            &optimize,
+            &["--alpha", "abc"],
+            "--alpha must be a number, got abc",
+        ),
+        (
+            &["optimize", "ddr3-off"],
+            &["--threads", "abc"],
+            "--threads must be an integer, got abc",
+        ),
+        (
+            &["simulate", cfg],
+            &["--constraint", "abc"],
+            "--constraint must be a number of mV, got abc",
+        ),
+        (
+            &["simulate", cfg],
+            &["--reads", "abc"],
+            "--reads must be a positive integer, got abc",
+        ),
+        (
+            &["simulate", cfg],
+            &["--reads", "0"],
+            "--reads must be a positive integer, got 0",
+        ),
+        (
+            &["transient", cfg],
+            &["--steps", "abc"],
+            "--steps must be a positive integer, got abc",
+        ),
+        (
+            &["transient", cfg],
+            &["--steps", "0"],
+            "--steps must be a positive integer, got 0",
+        ),
+    ];
+    for (command, flag, want) in cases {
+        let args = [command, flag].concat();
+        let out = pi3d(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(want), "{args:?}: {stderr}");
+        assert!(!stderr.contains("characterizing"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn help_flag_prints_usage_and_succeeds() {
     let out = pi3d(&["--help"]);
@@ -155,8 +223,8 @@ fn help_flag_prints_usage_and_succeeds() {
 
 #[test]
 fn lut_roundtrip_feeds_simulate() {
-    let cfg = write_config("lut.cfg", "benchmark = ddr3-off\n");
-    let dir = std::env::temp_dir().join("pi3d-cli-tests");
+    let dir = Scratch::new("lut_roundtrip_feeds_simulate");
+    let cfg = write_config(&dir, "lut.cfg", "benchmark = ddr3-off\n");
     let lut_path = dir.join("baseline.lut");
     let out = pi3d(&[
         "lut",
@@ -209,7 +277,8 @@ fn lut_roundtrip_feeds_simulate() {
 /// that stack's own LUT.
 #[test]
 fn faults_policies_run_on_a_two_die_stack() {
-    let cfg = write_config("two-die.cfg", "benchmark = ddr3-off\ndram_dies = 2\n");
+    let dir = Scratch::new("faults_policies_run_on_a_two_die_stack");
+    let cfg = write_config(&dir, "two-die.cfg", "benchmark = ddr3-off\ndram_dies = 2\n");
     let out = pi3d(&[
         "faults",
         cfg.to_str().unwrap(),
@@ -239,8 +308,8 @@ fn faults_policies_run_on_a_two_die_stack() {
 /// turn that file into a self/total profile.
 #[test]
 fn faults_trace_out_progress_and_analyzer() {
-    let cfg = write_config("trace.cfg", "benchmark = ddr3-off\n");
-    let dir = std::env::temp_dir().join("pi3d-cli-tests");
+    let dir = Scratch::new("faults_trace_out_progress_and_analyzer");
+    let cfg = write_config(&dir, "trace.cfg", "benchmark = ddr3-off\n");
     let trace_path = dir.join("faults.trace.json");
     let out = pi3d(&[
         "faults",
@@ -338,7 +407,8 @@ fn faults_trace_out_progress_and_analyzer() {
 /// `--progress json` emits machine-readable JSON-lines heartbeats.
 #[test]
 fn progress_json_lines_parse() {
-    let cfg = write_config("progress.cfg", "benchmark = ddr3-off\n");
+    let dir = Scratch::new("progress_json_lines_parse");
+    let cfg = write_config(&dir, "progress.cfg", "benchmark = ddr3-off\n");
     let out = pi3d(&[
         "faults",
         cfg.to_str().unwrap(),
@@ -380,8 +450,8 @@ fn progress_json_lines_parse() {
 /// without `--progress`, plus peak-RSS gauges from /proc.
 #[test]
 fn run_report_has_quantiles_and_peak_rss() {
-    let cfg = write_config("quant.cfg", "benchmark = ddr3-off\n");
-    let dir = std::env::temp_dir().join("pi3d-cli-tests");
+    let dir = Scratch::new("run_report_has_quantiles_and_peak_rss");
+    let cfg = write_config(&dir, "quant.cfg", "benchmark = ddr3-off\n");
     let report_path = dir.join("quant.report.json");
     let out = pi3d(&[
         "faults",
@@ -422,13 +492,10 @@ fn run_report_has_quantiles_and_peak_rss() {
     }
 }
 
-/// Spawns a serve daemon on a fresh unix socket and waits until it
+/// Spawns a serve daemon on a unix socket in `dir` and waits until it
 /// accepts connections. Returns the child and the `unix:PATH` address.
-fn spawn_daemon(tag: &str, extra: &[&str]) -> (std::process::Child, String, PathBuf) {
-    let dir = std::env::temp_dir().join("pi3d-cli-tests");
-    fs::create_dir_all(&dir).expect("temp dir");
-    let sock = dir.join(format!("serve-{tag}-{}.sock", std::process::id()));
-    let _ = fs::remove_file(&sock);
+fn spawn_daemon(dir: &Path, extra: &[&str]) -> (std::process::Child, String, PathBuf) {
+    let sock = dir.join("serve.sock");
     let listen = format!("unix:{}", sock.display());
     let daemon = Command::new(env!("CARGO_BIN_EXE_pi3d"))
         .args([
@@ -473,7 +540,8 @@ fn wait_exit(child: &mut std::process::Child) -> std::process::ExitStatus {
 
 #[test]
 fn serve_round_trips_and_shuts_down_cleanly() {
-    let (mut daemon, listen, sock) = spawn_daemon("e2e", &[]);
+    let dir = Scratch::new("serve_round_trips_and_shuts_down_cleanly");
+    let (mut daemon, listen, sock) = spawn_daemon(&dir, &[]);
 
     let ping = pi3d(&["call", &listen, r#"{"cmd":"ping","id":7}"#]);
     assert!(

@@ -3,9 +3,12 @@
 //! after a SIGKILLed worker, poison-unit quarantine (exit 75), and the
 //! standalone verified merge.
 
+mod common;
+
+use common::Scratch;
 use pi3d_telemetry::Json;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Command, Output, Stdio};
 use std::time::{Duration, Instant};
 
@@ -14,14 +17,6 @@ fn pi3d(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("binary runs")
-}
-
-/// A fresh scratch dir per test so journals and leases never collide.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("pi3d-shard-tests").join(name);
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).expect("scratch dir");
-    dir
 }
 
 /// Small deterministic fault sweep shared by the tests; `trials` units
@@ -66,7 +61,7 @@ fn stdout_of(out: &Output) -> String {
 
 #[test]
 fn sharded_report_is_byte_identical_across_shard_counts() {
-    let dir = scratch("identity");
+    let dir = Scratch::new("sharded_report_is_byte_identical_across_shard_counts");
     let args = fault_args("0.5", "6", "8");
     let single = run(&args, &[]);
     assert!(
@@ -129,7 +124,7 @@ fn wait_for_lease_pid(dir: &Path, deadline: Duration) -> u32 {
 
 #[test]
 fn sigkilled_worker_is_respawned_and_report_stays_identical() {
-    let dir = scratch("sigkill");
+    let dir = Scratch::new("sigkilled_worker_is_respawned_and_report_stays_identical");
     // Enough units at a finer grid that the kill lands mid-sweep.
     let args = fault_args("0.5,1.0", "8", "12");
     let expected = {
@@ -175,7 +170,7 @@ fn sigkilled_worker_is_respawned_and_report_stays_identical() {
 
 #[test]
 fn poison_unit_is_quarantined_with_exit_75_and_healthy_units_complete() {
-    let dir = scratch("quarantine");
+    let dir = Scratch::new("poison_unit_is_quarantined_with_exit_75_and_healthy_units_complete");
     let args = fault_args("0.5", "6", "8");
     let journal = dir.join("poison.journal");
     let mut sharded = args.clone();
@@ -210,7 +205,7 @@ fn poison_unit_is_quarantined_with_exit_75_and_healthy_units_complete() {
 
 #[test]
 fn merge_journals_reproduces_the_supervisor_merge() {
-    let dir = scratch("merge");
+    let dir = Scratch::new("merge_journals_reproduces_the_supervisor_merge");
     let args = fault_args("0.5", "6", "8");
     let journal = dir.join("base.journal");
     let mut sharded = args.clone();

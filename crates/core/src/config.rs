@@ -36,7 +36,7 @@
 //! build a mesh; the `--precond` flag overrides it:
 //!
 //! ```text
-//! precond = mg                  # jacobi | ic | mg | identity
+//! precond = mg                  # jacobi | ic | mg
 //! ```
 
 use pi3d_layout::{
@@ -124,10 +124,9 @@ pub fn parse_precond(value: &str) -> Result<Preconditioner, ConfigError> {
         "jacobi" => Ok(Preconditioner::Jacobi),
         "ic" | "ic0" | "incomplete-cholesky" => Ok(Preconditioner::IncompleteCholesky),
         "mg" | "multigrid" => Ok(Preconditioner::Multigrid),
-        "identity" | "none" => Ok(Preconditioner::Identity),
         other => Err(err(
             None,
-            format!("unknown preconditioner {other:?} (use jacobi, ic, mg, or identity)"),
+            format!("unknown preconditioner {other:?} (use jacobi, ic, or mg)"),
         )),
     }
 }
@@ -484,8 +483,6 @@ mod tests {
             ("ic0", Preconditioner::IncompleteCholesky),
             ("mg", Preconditioner::Multigrid),
             ("multigrid", Preconditioner::Multigrid),
-            ("identity", Preconditioner::Identity),
-            ("none", Preconditioner::Identity),
         ] {
             let (_, _, got) =
                 parse_design_full(&format!("benchmark = hmc\nprecond = {value}\n")).unwrap();
@@ -494,10 +491,12 @@ mod tests {
         // Absent key -> None; the caller keeps its default.
         let (_, _, none) = parse_design_full("benchmark = hmc\n").unwrap();
         assert!(none.is_none());
-        // Unknown value names the offending line.
-        let e = parse_design_full("precond = sor\n").unwrap_err();
-        assert_eq!(e.line, Some(1));
-        assert!(e.to_string().contains("preconditioner"), "{e}");
+        // Unknown values name the offending line and the accepted names.
+        for value in ["sor", "none", "identity"] {
+            let e = parse_design_full(&format!("precond = {value}\n")).unwrap_err();
+            assert_eq!(e.line, Some(1));
+            assert!(e.to_string().contains("use jacobi, ic, or mg"), "{e}");
+        }
     }
 
     #[test]

@@ -92,17 +92,12 @@ pub enum CoreError {
 
 impl CoreError {
     /// True when this error reports a cooperative interruption — cancel,
-    /// deadline, or cycle budget — at *any* layer, rather than a
-    /// computational failure. Interrupted work is retryable (rerun with
-    /// `--resume`); failures are not.
+    /// deadline, or cycle budget — of a sweep or of the memory simulator,
+    /// rather than a computational failure. Interrupted work is retryable
+    /// (rerun with `--resume`); failures are not.
     pub fn is_interruption(&self) -> bool {
         match self {
             CoreError::Cancelled { .. } | CoreError::DeadlineExceeded { .. } => true,
-            CoreError::Solver(e) => matches!(
-                e,
-                SolverError::Cancelled { .. } | SolverError::DeadlineExceeded { .. }
-            ),
-            CoreError::Mesh(e) => e.is_interruption(),
             CoreError::Simulate(e) => matches!(
                 e,
                 SimulateError::Cancelled { .. } | SimulateError::CycleBudgetExceeded { .. }

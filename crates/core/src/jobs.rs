@@ -684,19 +684,6 @@ impl JobContext {
     pub fn deadline_exceeded(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
     }
-
-    /// The equivalent in-solve budget, for threading the same limits into
-    /// individual CG solves via [`pi3d_solver::CgSolver::with_budget`].
-    pub fn solve_budget(&self) -> pi3d_solver::SolveBudget {
-        let mut budget = pi3d_solver::SolveBudget::unlimited();
-        if let Some(d) = self.deadline {
-            budget = budget.with_deadline(d);
-        }
-        if let Some(c) = &self.cancel {
-            budget = budget.with_cancel(c.clone());
-        }
-        budget
-    }
 }
 
 /// Reads the unit indices recorded in an attempts log written via
@@ -806,10 +793,9 @@ impl<R> PartialSweep<R> {
 /// With strict priority (a real failure is never masked by the shutdown
 /// it triggered): a `compute` error for the lowest unit, then
 /// [`CoreError::WorkerPanic`] for the lowest panicked unit, then
-/// [`CoreError::Cancelled`], then [`CoreError::DeadlineExceeded`] —
-/// matching [`pi3d_solver::SolveBudget::interruption`], where an explicit
-/// cancel outranks a deadline. Interruption totals count in-scope units
-/// only. Journal failures surface as [`CoreError::Journal`].
+/// [`CoreError::Cancelled`], then [`CoreError::DeadlineExceeded`]: an
+/// explicit cancel outranks a deadline. Their totals count in-scope
+/// units only. Journal failures surface as [`CoreError::Journal`].
 #[allow(clippy::too_many_arguments)]
 pub fn journaled_sweep<T, R, E, D, C>(
     kind: &str,
@@ -971,7 +957,7 @@ where
     }
     let completed = slots.iter().filter(|s| s.is_some()).count();
     if let Some(e) = first_error {
-        // A cancel or deadline that lands *inside* a unit's solve or
+        // A cancel or deadline that lands *inside* a unit's memory
         // simulation surfaces as that unit's error; report it as the
         // sweep-level interruption it is (completed units are journaled,
         // `--resume` applies) instead of a per-unit failure.
@@ -1492,27 +1478,17 @@ mod tests {
     }
 
     #[test]
-    fn job_context_builds_an_equivalent_solve_budget() {
-        let plain = JobContext::new();
-        assert!(plain.solve_budget().is_unlimited());
-        let token = CancelToken::new();
-        let ctx = JobContext::new()
-            .with_cancel(token.clone())
-            .with_deadline(Instant::now() + Duration::from_secs(60));
-        let budget = ctx.solve_budget();
-        assert!(!budget.is_unlimited());
-        assert!(!budget.cancelled());
-        token.cancel();
-        assert!(budget.cancelled());
-        assert!(ctx.is_cancelled());
-    }
-
-    #[test]
     fn interruption_inside_a_unit_is_reported_as_sweep_cancellation() {
-        use pi3d_solver::{CgSolution, SolverError};
+        use pi3d_memsim::{
+            IrDropLut, MemorySimulator, ReadPolicy, SimConfig, SimulateError, TimingParams,
+            WorkloadSpec,
+        };
         let token = CancelToken::new();
         let ctx = JobContext::new().with_cancel(token.clone());
         let items: Vec<u64> = (0..4).collect();
+        let mut workload = WorkloadSpec::paper_ddr3();
+        workload.count = 8;
+        let requests = workload.generate();
         let err = journaled_sweep(
             "midunit",
             config_fingerprint(&["midunit"]),
@@ -1523,19 +1499,20 @@ mod tests {
             |_, payload| payload.as_num().map(|v| v as u64),
             |unit, &v| {
                 if unit == 2 {
-                    // The cancel lands mid-solve: the unit surfaces the
-                    // solver's typed interruption instead of a result.
+                    // The cancel lands mid-simulation: the unit's memsim
+                    // run polls the token and surfaces its typed
+                    // interruption instead of a result.
                     token.cancel();
-                    return Err(CoreError::Solver(SolverError::Cancelled {
-                        iterations: 5,
-                        residual: 0.1,
-                        partial: Box::new(CgSolution {
-                            x: vec![0.0],
-                            iterations: 5,
-                            relative_residual: 0.1,
-                            residual_trace: Vec::new(),
-                        }),
-                    }));
+                    let sim = MemorySimulator::new(
+                        TimingParams::ddr3_1600(),
+                        SimConfig::paper_ddr3(),
+                        ReadPolicy::standard(),
+                        IrDropLut::new(4),
+                    )
+                    .with_cancel(token.clone());
+                    let err = sim.run(&requests).unwrap_err();
+                    assert!(matches!(err, SimulateError::Cancelled { .. }), "{err:?}");
+                    return Err(CoreError::Simulate(err));
                 }
                 Ok(v * v)
             },

@@ -51,7 +51,6 @@ use pi3d_layout::units::MilliVolts;
 use pi3d_layout::{DieState, MemoryState};
 use pi3d_memsim::{IrDropLut, MemorySimulator, ReadPolicy, SimStats, SimulateError};
 use pi3d_mesh::{MeshOptions, StackMesh};
-use pi3d_solver::SolverError;
 use pi3d_telemetry::cancel::{latched_signal, SIGTERM};
 use pi3d_telemetry::par::panic_message;
 use pi3d_telemetry::rng::SplitMix64;
@@ -109,13 +108,6 @@ pub fn exit_code_for(error: &(dyn std::error::Error + 'static)) -> u8 {
                 CoreError::Cancelled { .. } => return cancelled_code,
                 CoreError::DeadlineExceeded { .. } => return EXIT_DEADLINE,
                 CoreError::Quarantined { .. } => return EXIT_QUARANTINED,
-                _ => {}
-            }
-        }
-        if let Some(solver) = e.downcast_ref::<SolverError>() {
-            match solver {
-                SolverError::Cancelled { .. } => return cancelled_code,
-                SolverError::DeadlineExceeded { .. } => return EXIT_DEADLINE,
                 _ => {}
             }
         }
@@ -1325,8 +1317,8 @@ impl ServeState {
     }
 
     /// Deadline/cancellation check between stages: the coarse-grained
-    /// complement of the cooperative polls inside CG and the memory
-    /// simulator.
+    /// complement of the cooperative polls inside the memory simulator.
+    /// A mesh build or CG solve, once started, runs to completion.
     fn check_budget(&self, ctx: &JobContext, stage: &str) -> Result<(), Fail> {
         if ctx.is_cancelled() {
             return Err(Fail::of(

@@ -20,8 +20,9 @@ impl MemorySimulator {
     ///
     /// Semantics are identical to [`MemorySimulator::run`] — that is the
     /// point: this is the straightforward one-cycle-at-a-time formulation
-    /// the event-driven loop is validated against. It is kept `pub` so the
-    /// equivalence test and the `memsim_run` benchmark can exercise it;
+    /// the event-driven loop is validated against. It is kept `pub` for
+    /// its two callers, the integration tests
+    /// `crates/memsim/tests/equivalence.rs` and `tests/end_to_end.rs`;
     /// production callers should use `run()`.
     ///
     /// # Errors

@@ -92,17 +92,6 @@ impl MeshError {
             MeshError::Solver(_) => None,
         }
     }
-
-    /// True when the underlying solve was *interrupted* — cancelled
-    /// cooperatively or stopped by a wall-clock deadline — rather than
-    /// failed. Interrupted solves are retryable (rerun, or resume from a
-    /// work journal); genuine failures are not.
-    pub fn is_interruption(&self) -> bool {
-        matches!(
-            self,
-            MeshError::Solver(SolverError::Cancelled { .. } | SolverError::DeadlineExceeded { .. })
-        )
-    }
 }
 
 impl fmt::Display for MeshError {
@@ -168,25 +157,6 @@ mod tests {
         assert!(e.to_string().contains("node 7"));
         assert!(e.degraded_supply().is_none());
         assert!(Error::source(&e).is_some());
-    }
-
-    #[test]
-    fn interruption_is_distinguished_from_failure() {
-        let cancelled: MeshError = SolverError::Cancelled {
-            iterations: 3,
-            residual: 0.5,
-            partial: Box::new(pi3d_solver::CgSolution {
-                x: vec![0.0],
-                iterations: 3,
-                relative_residual: 0.5,
-                residual_trace: Vec::new(),
-            }),
-        }
-        .into();
-        assert!(cancelled.is_interruption());
-        let failed: MeshError = SolverError::FloatingNode { row: 7 }.into();
-        assert!(!failed.is_interruption());
-        assert!(!MeshError::DegradedSupply(Box::new(report())).is_interruption());
     }
 
     #[test]

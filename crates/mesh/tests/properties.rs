@@ -117,15 +117,15 @@ fn drops_scale_linearly_with_activity_current() {
         let v1 = report.node_drops();
         let loads = mesh.load_vector(&state, 1.0);
         let scaled: Vec<f64> = loads.iter().map(|x| 2.0 * x).collect();
-        let solver = pi3d_solver::CgSolver::new().with_tolerance(1e-10);
-        let v2 = solver
-            .solve(
-                mesh.matrix(),
-                &scaled,
-                pi3d_solver::Preconditioner::IncompleteCholesky,
-            )
-            .expect("solves")
-            .x;
+        let v2 = pi3d_solver::PreparedSystem::with_solver(
+            mesh.matrix().clone(),
+            pi3d_solver::Preconditioner::IncompleteCholesky,
+            pi3d_solver::CgSolver::new().with_tolerance(1e-10),
+        )
+        .expect("preconditioner builds")
+        .solve(&scaled, None)
+        .expect("solves")
+        .x;
         for i in 0..v1.len() {
             assert!((v2[i] - 2.0 * v1[i]).abs() < 1e-6, "case {case} node {i}");
         }

@@ -1,12 +1,7 @@
-use crate::budget::{Interruption, SolveBudget};
 use crate::precond::AppliedPreconditioner;
 use crate::stencil::Operator;
 use crate::vecops;
-use crate::{CsrMatrix, Preconditioner, SolverError};
-
-/// The deadline clock is read every this many CG iterations; cancellation
-/// is polled every iteration (a single atomic load).
-const DEADLINE_POLL_STRIDE: usize = 16;
+use crate::SolverError;
 
 /// Iterations per flight-recorder trace slice: individual CG iterations
 /// are too fine to trace one-by-one, so the iteration loop emits one
@@ -24,7 +19,7 @@ pub struct CgSolution {
     pub relative_residual: f64,
     /// Relative residual after each iteration: the starting residual
     /// alone when the initial guess already meets the tolerance, empty
-    /// when `b` is zero or the solve stopped before its first iteration.
+    /// when `b` is zero.
     pub residual_trace: Vec<f64>,
 }
 
@@ -37,17 +32,19 @@ fn record_solve(iterations: usize, relres: f64, trace: &[f64]) {
     pi3d_telemetry::debug!("cg converged: {iterations} iterations, relres {relres:.3e}");
 }
 
-/// Preconditioned conjugate-gradient solver for SPD systems.
+/// Configuration of the preconditioned conjugate-gradient iteration for
+/// SPD systems: the relative-residual tolerance and the iteration cap.
 ///
-/// This is the production IR-drop solve path: the nodal conductance matrix
-/// of an R-Mesh is SPD once supply nodes are eliminated, and CG converges in
-/// `O(√κ)` iterations. Construction is cheap; the solver only holds
-/// configuration.
+/// The nodal conductance matrix of an R-Mesh is SPD once supply nodes are
+/// eliminated, and CG converges in `O(√κ)` iterations. A `CgSolver` only
+/// holds configuration; solves run through the
+/// [`PreparedSystem`](crate::PreparedSystem) it is handed to, which builds
+/// the preconditioner once per matrix.
 ///
 /// # Examples
 ///
 /// ```
-/// use pi3d_solver::{CgSolver, CooBuilder, Preconditioner};
+/// use pi3d_solver::{CgSolver, CooBuilder, Preconditioner, PreparedSystem};
 ///
 /// # fn main() -> Result<(), pi3d_solver::SolverError> {
 /// let mut b = CooBuilder::new(3);
@@ -56,10 +53,12 @@ fn record_solve(iterations: usize, relres: f64, trace: &[f64]) {
 /// }
 /// b.stamp_conductance(0, 1, 1.0);
 /// b.stamp_conductance(1, 2, 1.0);
-/// let a = b.into_csr()?;
-/// let sol = CgSolver::new()
-///     .with_tolerance(1e-12)
-///     .solve(&a, &[1.0, 0.0, 0.0], Preconditioner::IncompleteCholesky)?;
+/// let system = PreparedSystem::with_solver(
+///     b.into_csr()?,
+///     Preconditioner::IncompleteCholesky,
+///     CgSolver::new().with_tolerance(1e-12),
+/// )?;
+/// let sol = system.solve(&[1.0, 0.0, 0.0], None)?;
 /// assert!(sol.relative_residual < 1e-12);
 /// # Ok(())
 /// # }
@@ -68,7 +67,6 @@ fn record_solve(iterations: usize, relres: f64, trace: &[f64]) {
 pub struct CgSolver {
     tolerance: f64,
     max_iterations: usize,
-    budget: SolveBudget,
 }
 
 impl Default for CgSolver {
@@ -76,7 +74,6 @@ impl Default for CgSolver {
         CgSolver {
             tolerance: 1e-10,
             max_iterations: 20_000,
-            budget: SolveBudget::unlimited(),
         }
     }
 }
@@ -113,21 +110,9 @@ impl CgSolver {
         self
     }
 
-    /// Attaches a [`SolveBudget`] (deadline and/or cancel token) polled by
-    /// the iteration loop. The default budget is unlimited.
-    pub fn with_budget(mut self, budget: SolveBudget) -> Self {
-        self.budget = budget;
-        self
-    }
-
     /// Configured relative tolerance.
     pub fn tolerance(&self) -> f64 {
         self.tolerance
-    }
-
-    /// Configured solve budget.
-    pub fn budget(&self) -> &SolveBudget {
-        &self.budget
     }
 
     /// Configured iteration cap.
@@ -135,64 +120,23 @@ impl CgSolver {
         self.max_iterations
     }
 
-    /// Solves `A·x = b` for SPD `A` starting from the zero vector.
-    ///
-    /// # Errors
-    ///
-    /// * [`SolverError::DimensionMismatch`] if `b.len() != a.dim()`.
-    /// * [`SolverError::NotPositiveDefinite`] if preconditioner construction
-    ///   fails or a negative curvature direction is encountered (the matrix
-    ///   was not SPD).
-    /// * [`SolverError::ConvergenceFailure`] if the iteration cap is hit.
-    pub fn solve(
-        &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        preconditioner: Preconditioner,
-    ) -> Result<CgSolution, SolverError> {
-        self.solve_with_guess(a, b, None, preconditioner)
-    }
-
-    /// Solves `A·x = b` starting from a caller-supplied initial guess.
-    ///
-    /// Warm starts pay off on a sequence of nearby right-hand sides, such
-    /// as the transient stepper's time steps, where the previous solution
-    /// is already close to the next one.
-    ///
-    /// # Errors
-    ///
-    /// As for [`solve`](Self::solve), plus [`SolverError::DimensionMismatch`]
-    /// if the guess has the wrong length.
-    pub fn solve_with_guess(
-        &self,
-        a: &CsrMatrix,
-        b: &[f64],
-        guess: Option<&[f64]>,
-        preconditioner: Preconditioner,
-    ) -> Result<CgSolution, SolverError> {
-        let m = {
-            let _precond_span = pi3d_telemetry::span::span("precond_setup");
-            AppliedPreconditioner::build(preconditioner, a)?
-        };
-        self.solve_prepared(a, b, guess, &m)
-    }
-
     /// Solves `A·x = b` on the calling thread with an already-built
     /// preconditioner, applying the system through any [`Operator`] —
-    /// general CSR storage or the matrix-free stencil form.
-    ///
-    /// This is the factor-once/solve-many entry point shared by
-    /// [`solve_with_guess`](Self::solve_with_guess) (which builds `m`
-    /// per call) and [`PreparedSystem`](crate::PreparedSystem) (which
-    /// builds it once per matrix): the CG iteration itself is identical,
-    /// so the two paths produce bit-identical solutions.
+    /// general CSR storage or the matrix-free stencil form. This is the
+    /// one CG loop; [`PreparedSystem`](crate::PreparedSystem) calls it
+    /// with the preconditioner it built for `a`.
     ///
     /// # Errors
     ///
-    /// As for [`solve_with_guess`](Self::solve_with_guess). The caller is
-    /// responsible for `m` matching `a`; a mismatched preconditioner
-    /// panics on dimension asserts or fails to converge.
-    pub fn solve_prepared(
+    /// * [`SolverError::DimensionMismatch`] if `b` or `guess` differs in
+    ///   length from `a`.
+    /// * [`SolverError::NotPositiveDefinite`] if a direction of
+    ///   non-positive curvature is met (the matrix was not SPD).
+    /// * [`SolverError::NonConverged`] if the iteration cap is hit.
+    ///
+    /// The caller is responsible for `m` matching `a`; a mismatched
+    /// preconditioner panics on dimension asserts or fails to converge.
+    pub(crate) fn solve_prepared(
         &self,
         a: &dyn Operator,
         b: &[f64],
@@ -216,14 +160,6 @@ impl CgSolver {
         }
 
         let _solve_span = pi3d_telemetry::span::span("cg_solve");
-
-        // Fail fast when the budget already expired: batch callers drain
-        // their remaining right-hand sides in O(1) each instead of paying
-        // for the initial SpMV and preconditioner application.
-        if let Some(kind) = self.budget.interruption() {
-            let x = guess.map(<[f64]>::to_vec).unwrap_or_else(|| vec![0.0; n]);
-            return Err(interruption_error(kind, x, 0, f64::INFINITY, Vec::new()));
-        }
 
         let norm_b = vecops::norm2(b);
         if norm_b == 0.0 {
@@ -282,24 +218,6 @@ impl CgSolver {
                 });
                 pi3d_telemetry::trace::counter("solver", "cg_relres", relres);
             }
-            if self.budget.cancelled() {
-                return Err(interruption_error(
-                    Interruption::Cancelled,
-                    x,
-                    iter - 1,
-                    relres,
-                    residual_trace,
-                ));
-            }
-            if (iter == 1 || iter % DEADLINE_POLL_STRIDE == 0) && self.budget.deadline_exceeded() {
-                return Err(interruption_error(
-                    Interruption::DeadlineExceeded,
-                    x,
-                    iter - 1,
-                    relres,
-                    residual_trace,
-                ));
-            }
             a.apply_into(&p, &mut ap);
             let pap = vecops::dot(&p, &ap);
             if pap <= 0.0 || !pap.is_finite() {
@@ -357,44 +275,11 @@ impl CgSolver {
     }
 }
 
-/// Builds the typed interruption error carrying the partial iterate.
-fn interruption_error(
-    kind: Interruption,
-    x: Vec<f64>,
-    iterations: usize,
-    residual: f64,
-    residual_trace: Vec<f64>,
-) -> SolverError {
-    pi3d_telemetry::metrics::counter(match kind {
-        Interruption::Cancelled => "solver.cg.cancelled",
-        Interruption::DeadlineExceeded => "solver.cg.deadline_exceeded",
-    })
-    .incr(1);
-    let partial = Box::new(CgSolution {
-        x,
-        iterations,
-        relative_residual: residual,
-        residual_trace,
-    });
-    match kind {
-        Interruption::Cancelled => SolverError::Cancelled {
-            iterations,
-            residual,
-            partial,
-        },
-        Interruption::DeadlineExceeded => SolverError::DeadlineExceeded {
-            iterations,
-            residual,
-            partial,
-        },
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::{CooBuilder, DenseMatrix};
+    use crate::{CooBuilder, CsrMatrix, DenseMatrix, Preconditioner, PreparedSystem};
 
     fn grid_2d(nx: usize, ny: usize, ground_g: f64) -> CsrMatrix {
         // 2D grid with every node weakly grounded (models bump tie-offs).
@@ -414,6 +299,16 @@ mod tests {
         b.into_csr().unwrap()
     }
 
+    /// One cold solve of `a·x = b` through a fresh handle.
+    fn solve(
+        a: &CsrMatrix,
+        b: &[f64],
+        pc: Preconditioner,
+        solver: CgSolver,
+    ) -> Result<CgSolution, SolverError> {
+        PreparedSystem::with_solver(a.clone(), pc, solver)?.solve(b, None)
+    }
+
     #[test]
     fn cg_matches_direct_solve_on_grid() {
         let a = grid_2d(8, 8, 0.05);
@@ -421,15 +316,8 @@ mod tests {
         let dense = DenseMatrix::from_csr(&a);
         let exact = dense.cholesky().unwrap().solve(&b).unwrap();
 
-        for pc in [
-            Preconditioner::Identity,
-            Preconditioner::Jacobi,
-            Preconditioner::IncompleteCholesky,
-        ] {
-            let sol = CgSolver::new()
-                .with_tolerance(1e-12)
-                .solve(&a, &b, pc)
-                .unwrap();
+        for pc in [Preconditioner::Jacobi, Preconditioner::IncompleteCholesky] {
+            let sol = solve(&a, &b, pc, CgSolver::new().with_tolerance(1e-12)).unwrap();
             for i in 0..64 {
                 assert!(
                     (sol.x[i] - exact[i]).abs() < 1e-8,
@@ -458,26 +346,20 @@ mod tests {
     fn preconditioning_reduces_iterations() {
         let a = grid_2d(16, 16, 0.01);
         let b = hotspot_load(16, 16);
-        let none = CgSolver::new()
-            .solve(&a, &b, Preconditioner::Identity)
-            .unwrap();
-        let ic = CgSolver::new()
-            .solve(&a, &b, Preconditioner::IncompleteCholesky)
-            .unwrap();
+        let jacobi = solve(&a, &b, Preconditioner::Jacobi, CgSolver::new()).unwrap();
+        let ic = solve(&a, &b, Preconditioner::IncompleteCholesky, CgSolver::new()).unwrap();
         assert!(
-            ic.iterations < none.iterations,
-            "IC(0) ({}) should beat plain CG ({})",
+            ic.iterations < jacobi.iterations,
+            "IC(0) ({}) should beat Jacobi ({})",
             ic.iterations,
-            none.iterations
+            jacobi.iterations
         );
     }
 
     #[test]
     fn zero_rhs_returns_zero_immediately() {
         let a = grid_2d(4, 4, 0.1);
-        let sol = CgSolver::new()
-            .solve(&a, &[0.0; 16], Preconditioner::Jacobi)
-            .unwrap();
+        let sol = solve(&a, &[0.0; 16], Preconditioner::Jacobi, CgSolver::new()).unwrap();
         assert_eq!(sol.iterations, 0);
         assert!(sol.x.iter().all(|&v| v == 0.0));
     }
@@ -486,46 +368,41 @@ mod tests {
     fn warm_start_converges_in_fewer_iterations() {
         let a = grid_2d(12, 12, 0.02);
         let b = hotspot_load(12, 12);
-        let cold = CgSolver::new()
-            .solve(&a, &b, Preconditioner::Jacobi)
-            .unwrap();
+        let system = PreparedSystem::new(a, Preconditioner::Jacobi).unwrap();
+        let cold = system.solve(&b, None).unwrap();
         // Perturb the load slightly and re-solve from the previous solution.
         let b2: Vec<f64> = b.iter().map(|v| v * 1.01).collect();
-        let warm = CgSolver::new()
-            .solve_with_guess(&a, &b2, Some(&cold.x), Preconditioner::Jacobi)
-            .unwrap();
-        let cold2 = CgSolver::new()
-            .solve(&a, &b2, Preconditioner::Jacobi)
-            .unwrap();
+        let warm = system.solve(&b2, Some(&cold.x)).unwrap();
+        let cold2 = system.solve(&b2, None).unwrap();
         assert!(warm.iterations < cold2.iterations);
     }
 
     #[test]
     fn dimension_mismatch_is_reported() {
         let a = grid_2d(2, 2, 1.0);
-        let err = CgSolver::new()
-            .solve(&a, &[1.0], Preconditioner::Jacobi)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            SolverError::DimensionMismatch {
-                expected: 4,
-                found: 1
-            }
-        ));
+        let system = PreparedSystem::new(a, Preconditioner::Jacobi).unwrap();
+        for (rhs, guess) in [(&[1.0][..], None), (&[1.0; 4][..], Some(&[0.0][..]))] {
+            let err = system.solve(rhs, guess).unwrap_err();
+            assert!(matches!(
+                err,
+                SolverError::DimensionMismatch {
+                    expected: 4,
+                    found: 1
+                }
+            ));
+        }
     }
 
     #[test]
     fn indefinite_matrix_detected_during_iteration() {
+        // Unit diagonal, so Jacobi scaling leaves plain CG.
         let mut b = CooBuilder::new(2);
         b.add(0, 0, 1.0);
         b.add(1, 1, 1.0);
         b.add(0, 1, -3.0);
         b.add(1, 0, -3.0);
         let a = b.into_csr().unwrap();
-        let err = CgSolver::new()
-            .solve(&a, &[1.0, 1.0], Preconditioner::Identity)
-            .unwrap_err();
+        let err = solve(&a, &[1.0, 1.0], Preconditioner::Jacobi, CgSolver::new()).unwrap_err();
         assert!(matches!(err, SolverError::NotPositiveDefinite { .. }));
     }
 
@@ -533,11 +410,8 @@ mod tests {
     fn iteration_cap_produces_convergence_failure() {
         let a = grid_2d(16, 16, 1e-6);
         let b = hotspot_load(16, 16);
-        let err = CgSolver::new()
-            .with_tolerance(1e-14)
-            .with_max_iterations(2)
-            .solve(&a, &b, Preconditioner::Identity)
-            .unwrap_err();
+        let solver = CgSolver::new().with_tolerance(1e-14).with_max_iterations(2);
+        let err = solve(&a, &b, Preconditioner::Jacobi, solver).unwrap_err();
         let SolverError::NonConverged {
             iterations: 2,
             partial,
@@ -558,74 +432,5 @@ mod tests {
         let s = CgSolver::new().with_tolerance(1e-6).with_max_iterations(50);
         assert_eq!(s.tolerance(), 1e-6);
         assert_eq!(s.max_iterations(), 50);
-        assert!(s.budget().is_unlimited());
-    }
-
-    #[test]
-    fn cancelled_solve_returns_partial_iterate() {
-        use pi3d_telemetry::CancelToken;
-        let a = grid_2d(16, 16, 0.01);
-        let b = hotspot_load(16, 16);
-        let token = CancelToken::new();
-        token.cancel();
-        let err = CgSolver::new()
-            .with_budget(SolveBudget::unlimited().with_cancel(token))
-            .solve(&a, &b, Preconditioner::Jacobi)
-            .unwrap_err();
-        let SolverError::Cancelled {
-            iterations,
-            partial,
-            ..
-        } = err
-        else {
-            panic!("expected Cancelled, got {err:?}");
-        };
-        assert_eq!(iterations, 0);
-        assert_eq!(partial.x.len(), 256);
-    }
-
-    #[test]
-    fn expired_deadline_stops_the_solve() {
-        let a = grid_2d(16, 16, 0.01);
-        let b = hotspot_load(16, 16);
-        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
-        let err = CgSolver::new()
-            .with_budget(SolveBudget::unlimited().with_deadline(past))
-            .solve(&a, &b, Preconditioner::Jacobi)
-            .unwrap_err();
-        assert!(
-            matches!(err, SolverError::DeadlineExceeded { .. }),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn mid_solve_cancellation_preserves_progress() {
-        // Cancel from another thread while a deliberately slow solve
-        // (tight tolerance, identity preconditioner) is iterating; the
-        // typed error must carry the in-flight iterate.
-        use pi3d_telemetry::CancelToken;
-        let a = grid_2d(24, 24, 1e-6);
-        let b = hotspot_load(24, 24);
-        let token = CancelToken::new();
-        let solver = CgSolver::new()
-            .with_tolerance(1e-15)
-            .with_budget(SolveBudget::unlimited().with_cancel(token.clone()));
-        let result = std::thread::scope(|scope| {
-            let handle = scope.spawn(|| solver.solve(&a, &b, Preconditioner::Identity));
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            token.cancel();
-            handle.join().expect("solver thread must not panic")
-        });
-        match result {
-            Err(SolverError::Cancelled { partial, .. }) => {
-                assert_eq!(partial.x.len(), 24 * 24);
-            }
-            // The grid is small enough that the solve may finish (or hit
-            // the NonConverged cap) before the cancel lands; both are
-            // legitimate races, the test only forbids hangs and panics.
-            Ok(_) | Err(SolverError::NonConverged { .. }) => {}
-            Err(other) => panic!("unexpected error: {other:?}"),
-        }
     }
 }

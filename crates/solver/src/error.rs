@@ -46,28 +46,6 @@ pub enum SolverError {
         /// The final iterate and its per-iteration residual trace.
         partial: Box<CgSolution>,
     },
-    /// The solve was cancelled cooperatively (SIGINT or programmatic
-    /// cancel) before reaching the requested tolerance.
-    ///
-    /// As with [`NonConverged`](Self::NonConverged), the best iterate is
-    /// preserved in `partial` so interrupted campaigns keep the work.
-    Cancelled {
-        /// Iterations completed before the cancellation was observed.
-        iterations: usize,
-        /// Relative residual norm at the last completed iteration.
-        residual: f64,
-        /// The final iterate and its per-iteration residual trace.
-        partial: Box<CgSolution>,
-    },
-    /// The solve's wall-clock deadline passed before convergence.
-    DeadlineExceeded {
-        /// Iterations completed before the deadline was observed.
-        iterations: usize,
-        /// Relative residual norm at the last completed iteration.
-        residual: f64,
-        /// The final iterate and its per-iteration residual trace.
-        partial: Box<CgSolution>,
-    },
     /// A matrix value was NaN or infinite.
     NonFiniteValue {
         /// Row index of the offending entry.
@@ -119,27 +97,6 @@ impl fmt::Display for SolverError {
                     f,
                     "conjugate gradient failed to converge after {iterations} iterations \
                      (residual {residual:.3e}, tolerance {tolerance:.3e})"
-                )
-            }
-            SolverError::Cancelled {
-                iterations,
-                residual,
-                ..
-            } => {
-                write!(
-                    f,
-                    "solve cancelled after {iterations} iterations (residual {residual:.3e})"
-                )
-            }
-            SolverError::DeadlineExceeded {
-                iterations,
-                residual,
-                ..
-            } => {
-                write!(
-                    f,
-                    "solve deadline exceeded after {iterations} iterations \
-                     (residual {residual:.3e})"
                 )
             }
             SolverError::NonFiniteValue { row, col } => {

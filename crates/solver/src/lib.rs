@@ -6,9 +6,12 @@
 //! conductance matrix, `i` the vector of injected currents, and `v` the
 //! unknown node voltages. Two solution paths are provided:
 //!
-//! * [`CsrMatrix`] + [`CgSolver`] — sparse storage with a preconditioned
-//!   conjugate-gradient iteration. This is the fast "R-Mesh" path used for
-//!   all production analysis, playing the role HSPICE plays in the paper.
+//! * [`CsrMatrix`] + [`PreparedSystem`] — sparse storage with a
+//!   preconditioned conjugate-gradient iteration. This is the fast
+//!   "R-Mesh" path used for all production analysis, playing the role
+//!   HSPICE plays in the paper. A `PreparedSystem` builds the
+//!   preconditioner once per matrix and is the one way to run CG;
+//!   [`CgSolver`] carries its tolerance and iteration cap.
 //! * [`DenseMatrix`] + [`CholeskyFactor`] — a dense direct factorization
 //!   used as the *golden reference* when validating the R-Mesh results
 //!   (the stand-in for Cadence Encounter Power System in Figure 4 of the
@@ -19,7 +22,7 @@
 //! Solve a tiny resistor-divider system:
 //!
 //! ```
-//! use pi3d_solver::{CgSolver, CooBuilder, Preconditioner};
+//! use pi3d_solver::{CooBuilder, Preconditioner, PreparedSystem};
 //!
 //! # fn main() -> Result<(), pi3d_solver::SolverError> {
 //! // Two unknown nodes joined by 1 S, each tied to ground by 1 S:
@@ -32,8 +35,8 @@
 //! builder.add(1, 0, -1.0);
 //! let matrix = builder.into_csr()?;
 //!
-//! let solver = CgSolver::new();
-//! let solution = solver.solve(&matrix, &[1.0, 0.0], Preconditioner::Jacobi)?;
+//! let system = PreparedSystem::new(matrix, Preconditioner::Jacobi)?;
+//! let solution = system.solve(&[1.0, 0.0], None)?;
 //! assert!((solution.x[0] - 2.0 / 3.0).abs() < 1e-9);
 //! assert!((solution.x[1] - 1.0 / 3.0).abs() < 1e-9);
 //! # Ok(())
@@ -48,7 +51,6 @@
 // User-reachable failures must surface as typed errors, not panics.
 #![warn(clippy::unwrap_used)]
 
-mod budget;
 mod cg;
 mod csr;
 mod dense;
@@ -59,12 +61,11 @@ mod prepared;
 mod stencil;
 pub mod vecops;
 
-pub use budget::{Interruption, SolveBudget};
 pub use cg::{CgSolution, CgSolver};
 pub use csr::{CooBuilder, CsrMatrix};
 pub use dense::{CholeskyFactor, DenseMatrix};
 pub use error::SolverError;
 pub use multigrid::Multigrid;
-pub use precond::{AppliedPreconditioner, IncompleteCholesky, JacobiScaling, Preconditioner};
+pub use precond::{IncompleteCholesky, JacobiScaling, Preconditioner};
 pub use prepared::PreparedSystem;
 pub use stencil::{Operator, StencilGrid, StencilOperator};

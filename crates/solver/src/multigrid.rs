@@ -524,7 +524,7 @@ impl Multigrid {
 mod tests {
     use super::*;
     use crate::cg::CgSolver;
-    use crate::precond::{AppliedPreconditioner, Preconditioner};
+    use crate::precond::{AppliedPreconditioner, JacobiScaling};
 
     /// 2D Poisson-like grid with ground ties: the classic refinement
     /// stress for preconditioners.
@@ -586,7 +586,7 @@ mod tests {
         let b = hotspot(a.dim());
         let solver = CgSolver::new().with_tolerance(1e-10);
 
-        let jacobi = AppliedPreconditioner::build(Preconditioner::Jacobi, &a).unwrap();
+        let jacobi = AppliedPreconditioner::Jacobi(JacobiScaling::new(&a).unwrap());
         let base = solver.solve_prepared(&a, &b, None, &jacobi).unwrap();
 
         let mg = Multigrid::new(&a, &grids, None).unwrap();
@@ -622,7 +622,7 @@ mod tests {
             let mg = Multigrid::new(&a, &grids, None).unwrap();
             let m = AppliedPreconditioner::Multigrid(mg);
             mg_iters.push(solver.solve_prepared(&a, &b, None, &m).unwrap().iterations);
-            let j = AppliedPreconditioner::build(Preconditioner::Jacobi, &a).unwrap();
+            let j = AppliedPreconditioner::Jacobi(JacobiScaling::new(&a).unwrap());
             jacobi_iters.push(solver.solve_prepared(&a, &b, None, &j).unwrap().iterations);
         }
         // Jacobi iteration counts grow with mesh width; MG's stay ~flat

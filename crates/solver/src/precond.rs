@@ -4,7 +4,7 @@ use crate::multigrid::Multigrid;
 use crate::stencil::{StencilGrid, StencilOperator};
 use crate::{CsrMatrix, SolverError};
 
-/// Preconditioner selection for [`CgSolver`](crate::CgSolver).
+/// Preconditioner selection for a [`PreparedSystem`](crate::PreparedSystem).
 ///
 /// Power-grid conductance matrices are SPD and strongly diagonally dominant,
 /// so Jacobi is usually sufficient; IC(0) roughly halves iteration counts on
@@ -15,8 +15,6 @@ use crate::{CsrMatrix, SolverError};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 #[non_exhaustive]
 pub enum Preconditioner {
-    /// No preconditioning (plain CG).
-    Identity,
     /// Diagonal (Jacobi) scaling. The default.
     #[default]
     Jacobi,
@@ -33,11 +31,9 @@ pub enum Preconditioner {
 /// matrix-dependent part of a preconditioned CG solve. An
 /// `AppliedPreconditioner` is immutable and `Sync` once built, so it can be
 /// constructed once per matrix and shared across many solves and threads —
-/// the factor-once/solve-many pattern exposed by
-/// [`PreparedSystem`](crate::PreparedSystem).
-pub enum AppliedPreconditioner {
-    /// No preconditioning.
-    Identity,
+/// the factor-once/solve-many pattern of
+/// [`PreparedSystem`](crate::PreparedSystem), its only owner.
+pub(crate) enum AppliedPreconditioner {
     /// Diagonal (Jacobi) scaling.
     Jacobi(JacobiScaling),
     /// Zero fill-in incomplete Cholesky factors.
@@ -49,7 +45,6 @@ pub enum AppliedPreconditioner {
 impl std::fmt::Debug for AppliedPreconditioner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AppliedPreconditioner::Identity => f.write_str("AppliedPreconditioner::Identity"),
             AppliedPreconditioner::Jacobi(_) => f.write_str("AppliedPreconditioner::Jacobi"),
             AppliedPreconditioner::Ic0(_) => f.write_str("AppliedPreconditioner::Ic0"),
             AppliedPreconditioner::Multigrid(_) => f.write_str("AppliedPreconditioner::Multigrid"),
@@ -58,22 +53,6 @@ impl std::fmt::Debug for AppliedPreconditioner {
 }
 
 impl AppliedPreconditioner {
-    /// Builds the concrete preconditioner of `kind` for the matrix `a`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverError::NotPositiveDefinite`] if the diagonal scaling
-    /// or IC(0) factorization breaks down, and
-    /// [`SolverError::MissingGridGeometry`] for
-    /// [`Preconditioner::Multigrid`], which needs the grid geometry only
-    /// [`build_with_geometry`](Self::build_with_geometry) supplies.
-    pub fn build(kind: Preconditioner, a: &CsrMatrix) -> Result<Self, SolverError> {
-        match kind {
-            Preconditioner::Multigrid => Err(SolverError::MissingGridGeometry),
-            _ => Self::build_with_geometry(kind, a, &[], None),
-        }
-    }
-
     /// Builds the concrete preconditioner of `kind` for the matrix `a`,
     /// supplying the stack's grid geometry (and, when one was extracted,
     /// the matrix-free stencil operator to share for fine-level applies)
@@ -82,9 +61,10 @@ impl AppliedPreconditioner {
     ///
     /// # Errors
     ///
-    /// As [`build`](Self::build); multigrid additionally reports
-    /// [`SolverError::MissingGridGeometry`] when `grids` do not tile the
-    /// matrix dimension.
+    /// Returns [`SolverError::NotPositiveDefinite`] if the diagonal scaling
+    /// or IC(0) factorization breaks down, and
+    /// [`SolverError::MissingGridGeometry`] for multigrid when `grids` are
+    /// empty or do not tile the matrix dimension.
     pub fn build_with_geometry(
         kind: Preconditioner,
         a: &CsrMatrix,
@@ -94,7 +74,6 @@ impl AppliedPreconditioner {
         pi3d_telemetry::metrics::counter("solver.precond.builds").incr(1);
         pi3d_telemetry::trace!("building {kind:?} preconditioner for n={}", a.dim());
         match kind {
-            Preconditioner::Identity => Ok(AppliedPreconditioner::Identity),
             Preconditioner::Jacobi => Ok(AppliedPreconditioner::Jacobi(JacobiScaling::new(a)?)),
             Preconditioner::IncompleteCholesky => {
                 Ok(AppliedPreconditioner::Ic0(IncompleteCholesky::new(a)?))
@@ -115,7 +94,6 @@ impl AppliedPreconditioner {
     /// preconditioner was built for.
     pub fn apply(&self, r: &[f64], z: &mut [f64]) {
         match self {
-            AppliedPreconditioner::Identity => z.copy_from_slice(r),
             AppliedPreconditioner::Jacobi(j) => j.apply(r, z),
             AppliedPreconditioner::Ic0(ic) => ic.apply(r, z),
             AppliedPreconditioner::Multigrid(mg) => mg.apply(r, z),
@@ -687,8 +665,8 @@ mod tests {
         };
         assert_eq!(JacobiScaling::new(&a).unwrap_err(), want);
         assert_eq!(IncompleteCholesky::new(&a).unwrap_err(), want);
-        let cg = crate::CgSolver::new().solve(&a, &[1.0, 1.0], Preconditioner::IncompleteCholesky);
-        assert_eq!(cg.unwrap_err(), want);
+        let prepared = crate::PreparedSystem::new(a, Preconditioner::IncompleteCholesky);
+        assert_eq!(prepared.unwrap_err(), want);
     }
 
     #[test]
@@ -791,7 +769,7 @@ mod tests {
     fn multigrid_without_geometry_is_a_typed_error() {
         let a = grid_matrix(8);
         assert!(matches!(
-            AppliedPreconditioner::build(Preconditioner::Multigrid, &a),
+            AppliedPreconditioner::build_with_geometry(Preconditioner::Multigrid, &a, &[], None),
             Err(SolverError::MissingGridGeometry)
         ));
     }

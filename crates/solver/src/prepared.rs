@@ -1,7 +1,8 @@
 //! Factor-once / solve-many: [`PreparedSystem`] bundles a CSR matrix with
 //! its already-built preconditioner so that sweep workloads (IR-drop LUTs,
 //! design-space characterization) pay the factorization cost once and then
-//! fan independent right-hand sides across a scoped worker pool.
+//! fan independent right-hand sides across a scoped worker pool. It is the
+//! only way to run CG.
 
 use crate::precond::AppliedPreconditioner;
 use crate::stencil::{Operator, StencilGrid, StencilOperator};
@@ -16,11 +17,12 @@ use std::sync::Arc;
 /// The production workloads of this workspace — the Section 5.2 IR-drop
 /// lookup table and the Section 6.1 design-space sweep — are hundreds of
 /// solves of the *same* conductance matrix under different load vectors.
-/// [`CgSolver::solve_with_guess`] rebuilds the preconditioner (including
-/// the IC(0) factorization) on every call; a `PreparedSystem` hoists that
-/// work to construction so each subsequent [`solve`](Self::solve) runs the
-/// bare CG iteration, and [`solve_batch`](Self::solve_batch) runs many
-/// right-hand sides concurrently with deterministic, input-ordered results.
+/// A `PreparedSystem` builds the preconditioner (including the IC(0)
+/// factorization) once, at construction, so each [`solve`](Self::solve)
+/// runs the bare CG iteration, and [`solve_batch`](Self::solve_batch) runs
+/// many right-hand sides concurrently with deterministic, input-ordered
+/// results. A solve runs to completion: it converges, or fails with a
+/// typed [`SolverError`].
 ///
 /// # Determinism
 ///
@@ -162,19 +164,6 @@ impl PreparedSystem {
         self
     }
 
-    /// Attaches a [`SolveBudget`](crate::SolveBudget) to the wrapped
-    /// solver: every subsequent [`solve`](Self::solve) /
-    /// [`solve_batch`](Self::solve_batch) member polls the budget's cancel
-    /// token each iteration and its deadline periodically. A member
-    /// interrupted mid-batch fails fast and its unfinished siblings drain
-    /// in O(1) each (the entry check), so a SIGINT ends a batch within one
-    /// CG iteration per in-flight worker.
-    #[must_use]
-    pub fn with_budget(mut self, budget: crate::SolveBudget) -> Self {
-        self.solver = self.solver.clone().with_budget(budget);
-        self
-    }
-
     /// The wrapped matrix.
     pub fn matrix(&self) -> &CsrMatrix {
         &self.matrix
@@ -216,11 +205,19 @@ impl PreparedSystem {
     }
 
     /// Solves `A·x = rhs` on the calling thread, reusing the
-    /// preconditioner built at construction.
+    /// preconditioner built at construction. CG starts from `guess` when
+    /// one is given, otherwise from zero; warm starts pay off on a
+    /// sequence of nearby right-hand sides, such as the transient
+    /// stepper's time steps.
     ///
     /// # Errors
     ///
-    /// As for [`CgSolver::solve_with_guess`].
+    /// * [`SolverError::DimensionMismatch`] if `rhs` or `guess` differs in
+    ///   length from the matrix.
+    /// * [`SolverError::NotPositiveDefinite`] if CG meets a direction of
+    ///   non-positive curvature (the matrix was not SPD).
+    /// * [`SolverError::NonConverged`] if the solver's iteration cap is
+    ///   hit; the error carries the final iterate.
     pub fn solve(&self, rhs: &[f64], guess: Option<&[f64]>) -> Result<CgSolution, SolverError> {
         self.record_solve(1);
         self.solver
@@ -264,8 +261,8 @@ impl PreparedSystem {
         use pi3d_telemetry::metrics;
         let before = self.solves.fetch_add(count, Ordering::Relaxed);
         metrics::counter("solver.prepared.solves").incr(count);
-        // Every solve after the first on this handle would have paid a
-        // preconditioner build under the per-call API.
+        // Every solve after the first on this handle reuses the
+        // preconditioner a fresh handle would have rebuilt.
         let avoided = if before == 0 {
             count.saturating_sub(1)
         } else {
@@ -313,20 +310,23 @@ mod tests {
         v
     }
 
+    /// A fresh handle per solve (the preconditioner rebuilt every call)
+    /// and one handle reused across solves give the same bits.
     #[test]
     fn prepared_solve_matches_per_call_solver_bitwise() {
         let a = grid_2d(12, 12, 0.05);
-        let b = loads(144, 7);
-        for pc in [
-            Preconditioner::Identity,
-            Preconditioner::Jacobi,
-            Preconditioner::IncompleteCholesky,
-        ] {
-            let per_call = CgSolver::new().solve(&a, &b, pc).unwrap();
-            let prepared = PreparedSystem::new(a.clone(), pc).unwrap();
-            let reused = prepared.solve(&b, None).unwrap();
-            assert_eq!(per_call.x, reused.x, "{pc:?}");
-            assert_eq!(per_call.iterations, reused.iterations, "{pc:?}");
+        for pc in [Preconditioner::Jacobi, Preconditioner::IncompleteCholesky] {
+            let reused = PreparedSystem::new(a.clone(), pc).unwrap();
+            for seed in [7, 8, 9] {
+                let b = loads(144, seed);
+                let per_call = PreparedSystem::new(a.clone(), pc)
+                    .unwrap()
+                    .solve(&b, None)
+                    .unwrap();
+                let again = reused.solve(&b, None).unwrap();
+                assert_eq!(per_call.x, again.x, "{pc:?}, seed {seed}");
+                assert_eq!(per_call.iterations, again.iterations, "{pc:?}");
+            }
         }
     }
 
@@ -378,28 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_budget_drains_batch_with_typed_errors() {
-        use pi3d_telemetry::CancelToken;
-        let a = grid_2d(10, 10, 0.02);
-        let batch: Vec<Vec<f64>> = (0..6).map(|i| loads(100, i)).collect();
-        let token = CancelToken::new();
-        token.cancel();
-        let system = PreparedSystem::new(a, Preconditioner::Jacobi)
-            .unwrap()
-            .with_threads(2)
-            .with_budget(crate::SolveBudget::unlimited().with_cancel(token));
-        let result = system.solve_batch(&batch);
-        assert!(
-            matches!(result, Err(SolverError::Cancelled { .. })),
-            "got {result:?}"
-        );
-        assert!(matches!(
-            system.solve(&batch[0], None),
-            Err(SolverError::Cancelled { .. })
-        ));
-    }
-
-    #[test]
     fn builder_accessors() {
         let a = grid_2d(4, 4, 0.1);
         let system = PreparedSystem::with_solver(
@@ -426,11 +404,7 @@ mod tests {
             ny: 12,
         }];
         let b = loads(144, 11);
-        for pc in [
-            Preconditioner::Identity,
-            Preconditioner::Jacobi,
-            Preconditioner::IncompleteCholesky,
-        ] {
+        for pc in [Preconditioner::Jacobi, Preconditioner::IncompleteCholesky] {
             let csr_path = PreparedSystem::new(a.clone(), pc).unwrap();
             let stencil_path =
                 PreparedSystem::with_geometry(a.clone(), pc, CgSolver::new(), &grids).unwrap();

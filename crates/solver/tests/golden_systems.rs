@@ -3,7 +3,17 @@
 //! path, since the expected voltages come from pencil-and-paper analysis
 //! rather than another numerical routine.
 
-use pi3d_solver::{CgSolver, CooBuilder, DenseMatrix, Preconditioner};
+use pi3d_solver::{
+    CgSolution, CgSolver, CooBuilder, CsrMatrix, DenseMatrix, Preconditioner, PreparedSystem,
+};
+
+/// One CG solve of `a·x = rhs` at relative tolerance `tol`.
+fn cg(a: CsrMatrix, rhs: &[f64], pc: Preconditioner, tol: f64) -> CgSolution {
+    PreparedSystem::with_solver(a, pc, CgSolver::new().with_tolerance(tol))
+        .unwrap()
+        .solve(rhs, None)
+        .unwrap()
+}
 
 /// A chain of `n` unit resistors between two grounded ends, with current
 /// `i` injected at node `k`, has the closed form of two resistors in
@@ -24,10 +34,7 @@ fn resistor_chain_matches_the_closed_form() {
         let a = b.into_csr().unwrap();
         let mut rhs = vec![0.0; n];
         rhs[k] = 1.0;
-        let sol = CgSolver::new()
-            .with_tolerance(1e-13)
-            .solve(&a, &rhs, Preconditioner::IncompleteCholesky)
-            .unwrap();
+        let sol = cg(a, &rhs, Preconditioner::IncompleteCholesky, 1e-13);
 
         // Left path: k+1 resistors to ground; right path: n-k resistors.
         let r_left = (k + 1) as f64;
@@ -68,10 +75,7 @@ fn two_node_network_matches_hand_solution() {
     b.stamp_to_ground(1, g2);
     b.stamp_conductance(0, 1, g12);
     let a = b.into_csr().unwrap();
-    let sol = CgSolver::new()
-        .with_tolerance(1e-14)
-        .solve(&a, &[i1, i2], Preconditioner::Jacobi)
-        .unwrap();
+    let sol = cg(a, &[i1, i2], Preconditioner::Jacobi, 1e-14);
 
     // [g1+g12, -g12; -g12, g2+g12] v = i, Cramer's rule:
     let det = (g1 + g12) * (g2 + g12) - g12 * g12;
@@ -139,10 +143,7 @@ fn symmetric_problem_gives_symmetric_solution() {
     let a = b.into_csr().unwrap();
     let mut rhs = vec![0.0; n * n];
     rhs[idx(n / 2, n / 2)] = 1e-2; // centre injection
-    let sol = CgSolver::new()
-        .with_tolerance(1e-13)
-        .solve(&a, &rhs, Preconditioner::IncompleteCholesky)
-        .unwrap();
+    let sol = cg(a, &rhs, Preconditioner::IncompleteCholesky, 1e-13);
     for y in 0..n {
         for x in 0..n {
             let mirror_x = sol.x[idx(n - 1 - x, y)];

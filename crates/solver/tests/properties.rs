@@ -7,7 +7,7 @@
 
 #![allow(clippy::needless_range_loop)]
 
-use pi3d_solver::{CgSolver, CooBuilder, CsrMatrix, DenseMatrix, Preconditioner};
+use pi3d_solver::{CgSolver, CooBuilder, CsrMatrix, DenseMatrix, Preconditioner, PreparedSystem};
 use pi3d_telemetry::rng::SplitMix64;
 
 const CASES: u64 = 64;
@@ -67,10 +67,14 @@ fn cg_agrees_with_cholesky() {
             .unwrap()
             .solve(&b)
             .unwrap();
-        let sol = CgSolver::new()
-            .with_tolerance(1e-12)
-            .solve(&a, &b, Preconditioner::Jacobi)
-            .unwrap();
+        let sol = PreparedSystem::with_solver(
+            a,
+            Preconditioner::Jacobi,
+            CgSolver::new().with_tolerance(1e-12),
+        )
+        .unwrap()
+        .solve(&b, None)
+        .unwrap();
         for i in 0..n {
             assert!(
                 (sol.x[i] - exact[i]).abs() < 1e-7,
@@ -93,8 +97,9 @@ fn solution_is_nonnegative_for_nonnegative_injection() {
         let loads = draw_vec(&mut rng, 1, 30, 0.0, 1e-2);
         let a = random_network(n, &[], &gs);
         let b = spread_loads(&loads, n);
-        let sol = CgSolver::new()
-            .solve(&a, &b, Preconditioner::IncompleteCholesky)
+        let sol = PreparedSystem::new(a, Preconditioner::IncompleteCholesky)
+            .unwrap()
+            .solve(&b, None)
             .unwrap();
         for (i, &v) in sol.x.iter().enumerate() {
             assert!(v >= -1e-9, "case {case} node {i} went negative: {v}");
@@ -127,11 +132,16 @@ fn superposition_holds() {
         let a = random_network(n, &[], &gs);
         let b1 = spread_loads(&l1, n);
         let b2 = spread_loads(&l2, n);
-        let solver = CgSolver::new().with_tolerance(1e-13);
-        let s1 = solver.solve(&a, &b1, Preconditioner::Jacobi).unwrap();
-        let s2 = solver.solve(&a, &b2, Preconditioner::Jacobi).unwrap();
+        let system = PreparedSystem::with_solver(
+            a,
+            Preconditioner::Jacobi,
+            CgSolver::new().with_tolerance(1e-13),
+        )
+        .unwrap();
+        let s1 = system.solve(&b1, None).unwrap();
+        let s2 = system.solve(&b2, None).unwrap();
         let sum_b: Vec<f64> = b1.iter().zip(&b2).map(|(x, y)| x + y).collect();
-        let s12 = solver.solve(&a, &sum_b, Preconditioner::Jacobi).unwrap();
+        let s12 = system.solve(&sum_b, None).unwrap();
         for i in 0..n {
             assert!(
                 (s1.x[i] + s2.x[i] - s12.x[i]).abs() < 1e-7,

@@ -1,8 +1,8 @@
 //! Cooperative cancellation for long-running sweeps.
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle to a shared flag that
-//! long loops (CG iterations, memsim event loops, fault sweeps) poll
-//! between work units. Cancellation is *requested*, never forced: each
+//! long loops (memsim event loops, sweeps, serve stages) poll between
+//! work units. Cancellation is *requested*, never forced: each
 //! loop notices the flag at its next poll point, flushes whatever durable
 //! state it owns (work journal, partial run report), and returns a typed
 //! `Cancelled` error instead of dying mid-write.
@@ -93,7 +93,7 @@ impl CancelToken {
 
     /// Returns `true` once cancellation has been requested.
     ///
-    /// A single atomic load — cheap enough to poll every CG iteration.
+    /// A single atomic load — cheap enough to poll every memsim event.
     pub fn is_cancelled(&self) -> bool {
         match &self.inner {
             Inner::Global => GLOBAL_CANCELLED.load(Ordering::Acquire),

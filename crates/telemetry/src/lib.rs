@@ -17,8 +17,8 @@
 //! * [`report`] — a [`RunReport`] serialized by the hand-rolled [`json`]
 //!   writer: phase timings, CG convergence traces, mesh size statistics,
 //!   memory-controller policy counters, and per-experiment wall clock.
-//! * [`trace`] — a flight recorder: per-thread fixed-capacity event
-//!   rings (no locks on the hot path, oldest events dropped on
+//! * [`trace`](mod@trace) — a flight recorder: per-thread fixed-capacity
+//!   event rings (no locks on the hot path, oldest events dropped on
 //!   overflow) drained into Chrome trace-event JSON for Perfetto.
 //!   [`progress`] rides on the same substrate to heartbeat sweep
 //!   progress (done/total, rate, ETA, unit p50/p95), and [`mem`]

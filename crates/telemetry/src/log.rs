@@ -143,7 +143,7 @@ pub fn enabled(at: Level) -> bool {
 }
 
 /// Emits one record to stderr. Prefer the [`error!`](crate::error)…
-/// [`trace!`](crate::trace) macros, which capture the module path and
+/// [`trace!`](crate::trace!) macros, which capture the module path and
 /// format lazily.
 pub fn log_at(at: Level, target: &str, args: fmt::Arguments<'_>) {
     if !enabled(at) {

@@ -4,8 +4,8 @@
 //! Instrumented code pushes records into global sinks
 //! ([`record_convergence`], [`record_mesh_stats`], [`record_policy_stats`],
 //! [`record_experiment`]); at the end of a run, [`RunReport::collect`]
-//! snapshots the sinks together with the [`metrics`](crate::metrics)
-//! registry and the [`span`](crate::span) tree, and
+//! snapshots the sinks together with the [`metrics`] registry and the
+//! [`span`] tree, and
 //! [`RunReport::to_json`] / [`RunReport::write_json`] emit the
 //! `pi3d.run_report.v1` document.
 //!
