@@ -58,7 +58,7 @@ echo "==> paper tables vs tables_output.txt (wall-clock lines dropped)"
 # each section's "(<name> finished in ...)" line and fig4's "runtime".
 tables_dir="$tmp/tables"
 mkdir "$tables_dir"
-./target/release/tables --threads 2 > "$tables_dir/now.txt"
+./target/release/pi3d tables --threads 2 > "$tables_dir/now.txt"
 drop_clock='^\(.* finished in .*\)$|^  runtime +:'
 grep -Ev "$drop_clock" tables_output.txt > "$tables_dir/want.txt"
 grep -Ev "$drop_clock" "$tables_dir/now.txt" > "$tables_dir/got.txt"

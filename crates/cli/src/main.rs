@@ -14,12 +14,16 @@
 //!                            [--reads N] [--threads N] [--grid N]
 //! pi3d export   <design.cfg> [--svg out.svg] [--spice out.sp] [--state 0-0-0-2]
 //! pi3d trace    <trace.json> [--top N]
+//! pi3d tables   [--quick] [NAME ...] [--threads N]
 //! pi3d serve    [--listen unix:PATH|tcp:host:port] [--workers N] [--cache-bytes N]
 //!                            [--queue-limit N] [--deadline SECS] [--grid N] [--threads N]
 //!                            [--max-frame-bytes N] [--idle-timeout SECS]
 //! pi3d call     <addr> [REQUEST_JSON ...] [--retries N] [--retry-base-ms MS]
 //!                            [--retry-seed N] [--timeout SECS]
 //! ```
+//!
+//! `pi3d tables` regenerates the paper's tables and figures (all of them,
+//! or the named experiments), each printed in the paper's shape.
 //!
 //! `pi3d serve` runs a long-lived warm-cache analysis daemon speaking
 //! newline-delimited JSON (`{"cmd":"solve","config":"..."}` per line);
@@ -76,6 +80,7 @@
 
 mod serve_cmd;
 mod shard_cmd;
+mod tables_cmd;
 mod trace_cmd;
 
 use pi3d_core::config;
@@ -118,21 +123,21 @@ struct Args {
 }
 
 impl Args {
-    /// The flags that may be given without a value (`--progress` also
-    /// takes an optional `json`); every other flag needs one.
-    const SWITCHES: &'static [&'static str] = &["both-nets", "decompose", "progress", "help"];
+    /// The flags that take no value. `--progress` may be bare or take
+    /// `json`; every other flag needs a value.
+    const SWITCHES: &'static [&'static str] = &["both-nets", "decompose", "help", "quick"];
 
     fn parse() -> Result<Args, String> {
         Args::from_iter(std::env::args().skip(1))
     }
 
     /// Splits `source` into positionals and flags. A token after a flag
-    /// is its value unless it is itself a flag.
+    /// other than a [switch](Args::SWITCHES) is its value unless it is
+    /// itself a flag.
     ///
     /// # Errors
     ///
-    /// Names the first flag outside [`Args::SWITCHES`] given without a
-    /// value.
+    /// Names the first flag that needs a value and has none.
     fn from_iter(source: impl IntoIterator<Item = String>) -> Result<Args, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
@@ -140,12 +145,11 @@ impl Args {
         while let Some(arg) = iter.next() {
             if let Some(name) = arg.strip_prefix("--") {
                 let value = match iter.peek() {
+                    _ if Args::SWITCHES.contains(&name) => None,
                     Some(v) if !v.starts_with("--") => iter.next(),
-                    _ => None,
+                    _ if name == "progress" => None,
+                    _ => return Err(format!("--{name} needs a value")),
                 };
-                if value.is_none() && !Args::SWITCHES.contains(&name) {
-                    return Err(format!("--{name} needs a value"));
-                }
                 flags.push((name.to_owned(), value));
             } else {
                 positional.push(arg);
@@ -284,6 +288,7 @@ fn dispatch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         "call" => serve_cmd::call_command(args),
         "merge-journals" => shard_cmd::merge_journals_command(args),
         "trace" => trace_cmd::trace_command(args),
+        "tables" => tables_cmd::tables_command(args),
         "help" => {
             print_usage();
             Ok(())
@@ -336,6 +341,8 @@ fn print_usage() {
          pi3d merge-journals --out FILE SHARD0 SHARD1 ..   (verified shard merge)\n  \
          pi3d export   <design.cfg> [--svg FILE] [--spice FILE] [--state S]\n  \
          pi3d trace    <trace.json> [--top N]\n  \
+         pi3d tables   [--quick] [NAME ...]   (the paper's tables and figures)\n  \
+                       NAME: {names}\n  \
          pi3d serve    [--listen unix:PATH|tcp:host:port] [--workers N]\n  \
                        [--cache-bytes N] [--queue-limit N] [--deadline SECS]\n  \
                        [--max-frame-bytes N] [--idle-timeout SECS]\n  \
@@ -352,7 +359,8 @@ fn print_usage() {
                        [--max-unit-attempts K]   (see DESIGN.md section 19)\n\
          exit codes:   0 ok, 1 error, 75 units quarantined, 101 panic (serve\n\
                        outcome), 124 deadline, 130 cancelled (SIGINT),\n\
-                       143 terminated (SIGTERM)"
+                       143 terminated (SIGTERM)",
+        names = tables_cmd::names("        ")
     );
 }
 
@@ -397,13 +405,12 @@ fn mesh_options_from(
         let n: usize = grid
             .parse()
             .map_err(|_| format!("--grid must be an integer, got {grid}"))?;
-        if !(4..=128).contains(&n) {
-            return Err("--grid must be between 4 and 128".into());
+        let grids = MeshOptions::USER_GRIDS;
+        if !grids.contains(&n) {
+            let (low, high) = (grids.start(), grids.end());
+            return Err(format!("--grid must be between {low} and {high}").into());
         }
-        options.dram_nx = n;
-        options.dram_ny = n;
-        options.logic_nx = n + 2;
-        options.logic_ny = n;
+        options = options.with_grid(n);
     }
     if let Some(threads) = args.flag("threads") {
         let n: usize = threads
@@ -415,6 +422,17 @@ fn mesh_options_from(
         options.threads = n;
     }
     Ok(options)
+}
+
+/// How many independent units (sweep units, batch solves, policies) run
+/// at once: `--threads` when given, else every core.
+fn threads_or_all_cores(args: &Args, options: &MeshOptions) -> usize {
+    match args.flag("threads") {
+        Some(_) => options.threads,
+        None => std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4),
+    }
 }
 
 fn activity_of(args: &Args) -> Result<f64, Box<dyn std::error::Error>> {
@@ -674,13 +692,7 @@ fn optimize(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         return Err("--alpha must be in [0, 1]".into());
     }
     let options = mesh_options_from(args, MeshOptions::coarse())?;
-    // The sweep fans out over every core unless `--threads` is given.
-    let threads = match args.flag("threads") {
-        Some(_) => options.threads,
-        None => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4),
-    };
+    let threads = threads_or_all_cores(args, &options);
 
     let platform = Platform::new(options);
     let ctx = match shard_cmd::shard_mode(args)? {
@@ -920,6 +932,11 @@ mod tests {
         assert!(a.has("both-nets"));
         assert_eq!(a.flag("both-nets"), None);
         assert!(!a.has("missing"));
+        // A switch never takes the next token as its value.
+        let a = args(&["tables", "--quick", "calibration", "--progress", "json"]);
+        assert_eq!(a.positional, vec!["tables", "calibration"]);
+        assert!(a.has("quick"));
+        assert_eq!(a.flag("progress"), Some("json"));
     }
 
     #[test]

@@ -164,7 +164,7 @@ fn bad_numbers_fail_early_naming_the_flag() {
     let cfg = write_config(&dir, "numbers.cfg", "benchmark = ddr3-off\n");
     let cfg = cfg.to_str().unwrap();
     let optimize = ["optimize", "ddr3-off", "--grid", "4", "--threads", "1"];
-    let cases: [(&[&str], &[&str], &str); 9] = [
+    let cases: [(&[&str], &[&str], &str); 11] = [
         (&optimize, &["--alpha", "7"], "--alpha must be in [0, 1]"),
         (&optimize, &["--alpha", "nan"], "--alpha must be in [0, 1]"),
         (
@@ -202,6 +202,16 @@ fn bad_numbers_fail_early_naming_the_flag() {
             &["--steps", "0"],
             "--steps must be a positive integer, got 0",
         ),
+        (
+            &["analyze", cfg],
+            &["--grid", "3"],
+            "--grid must be between 4 and 128",
+        ),
+        (
+            &["analyze", cfg],
+            &["--grid", "129"],
+            "--grid must be between 4 and 128",
+        ),
     ];
     for (command, flag, want) in cases {
         let args = [command, flag].concat();
@@ -219,6 +229,92 @@ fn help_flag_prints_usage_and_succeeds() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
+fn quick_calibration_and_mounting_print_tables() {
+    let out = pi3d(&["tables", "--quick", "calibration", "mounting"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("[calibration]"), "{stdout}");
+    assert!(stdout.contains("max IR (mV)"), "{stdout}");
+    assert!(stdout.contains("[mounting]"), "{stdout}");
+    assert!(stdout.contains("on-chip (shared PDN)"), "{stdout}");
+    assert!(!stdout.contains("FAILED"), "{stdout}");
+}
+
+#[test]
+fn quick_table7_matches_the_paper_shape() {
+    let out = pi3d(&["tables", "--quick", "table7"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    for case in 1..=6 {
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.trim_start().starts_with(&case.to_string())),
+            "case {case} missing:\n{stdout}"
+        );
+    }
+}
+
+/// A mistyped experiment name fails before any section runs, naming the
+/// valid ones.
+#[test]
+fn unknown_experiment_name_runs_nothing_and_fails() {
+    let out = pi3d(&["tables", "--quick", "no-such"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("unknown experiment \"no-such\""),
+        "{stderr}"
+    );
+    assert!(stderr.contains("calibration fig4"), "{stderr}");
+    assert!(stderr.contains("table9"), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// `pi3d tables` writes the same run report and trace as every other
+/// command: an `ok` outcome, one `experiments` entry per section plus the
+/// command's own, and a trace `pi3d trace` can read.
+#[test]
+fn tables_writes_a_run_report_and_a_trace() {
+    let dir = Scratch::new("tables_writes_a_run_report_and_a_trace");
+    let report = dir.join("tables.json");
+    let trace = dir.join("tables.trace.json");
+    let out = pi3d(&[
+        "tables",
+        "--quick",
+        "calibration",
+        "--metrics-out",
+        report.to_str().unwrap(),
+        "--trace-out",
+        trace.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let doc =
+        Json::parse(&fs::read_to_string(&report).expect("report written")).expect("report parses");
+    let outcome = doc.get("outcome").expect("outcome block");
+    assert_eq!(outcome.get("status").and_then(Json::as_str), Some("ok"));
+    assert_eq!(outcome.get("stage").and_then(Json::as_str), Some("tables"));
+    let experiments: Vec<&str> = match doc.get("experiments") {
+        Some(Json::Arr(entries)) => entries
+            .iter()
+            .filter_map(|e| e.get("name").and_then(Json::as_str))
+            .collect(),
+        other => panic!("experiments must be an array, got {other:?}"),
+    };
+    assert_eq!(experiments, ["calibration", "tables"]);
+
+    let out = pi3d(&["trace", trace.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout.contains("cmd:tables"), "{stdout}");
 }
 
 #[test]

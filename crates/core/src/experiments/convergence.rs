@@ -74,14 +74,7 @@ pub fn run(grids: &[usize]) -> Result<Convergence, CoreError> {
     let state: MemoryState = "0-0-0-2".parse().expect("literal state");
     let mut rows = Vec::new();
     for &grid in grids {
-        let options = MeshOptions {
-            dram_nx: grid,
-            dram_ny: grid,
-            logic_nx: grid + 2,
-            logic_ny: grid,
-            ..MeshOptions::default()
-        };
-        let platform = Platform::new(options);
+        let platform = Platform::new(MeshOptions::default().with_grid(grid));
         let mesh = platform.evaluate(&design)?;
         let report = mesh.solve(&state, 1.0)?;
         rows.push(ConvergenceRow {

@@ -71,17 +71,8 @@ impl fmt::Display for Fig9 {
     }
 }
 
-/// Runs the full paper sweep: constraints 14–34 mV, 10,000 reads.
-///
-/// # Errors
-///
-/// Propagates design, solver, and simulation errors.
-pub fn run(options: &MeshOptions) -> Result<Fig9, CoreError> {
-    let constraints: Vec<f64> = (7..=17).map(|c| 2.0 * c as f64).collect();
-    run_with(options, WorkloadSpec::paper_ddr3(), &constraints)
-}
-
-/// Runs the sweep with an explicit workload and constraint list.
+/// Runs the sweep: `workload` under IR-aware FCFS at each constraint, for
+/// each case (the paper: 10,000 reads, constraints 14–34 mV).
 ///
 /// # Errors
 ///

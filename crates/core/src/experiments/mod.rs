@@ -1,10 +1,12 @@
 //! One module per table and figure of the paper's evaluation.
 //!
 //! Every experiment exposes a `run` function taking the mesh resolution
-//! (coarser = faster, finer = closer to the converged numbers) and returns
-//! a typed result that also implements [`std::fmt::Display`], printing a
-//! table shaped like the paper's. The `pi3d-bench` crate's `tables` binary
-//! runs them all; EXPERIMENTS.md records paper-vs-measured values.
+//! (coarser = faster, finer = closer to the converged numbers); Table 6
+//! and Figure 9 expose `run_with`, which also takes the read workload.
+//! Each returns a typed result that also implements
+//! [`std::fmt::Display`], printing a table shaped like the paper's.
+//! `pi3d tables` runs them all; EXPERIMENTS.md records paper-vs-measured
+//! values.
 //!
 //! | Module | Paper artifact |
 //! |---|---|

@@ -1362,15 +1362,15 @@ impl ServeState {
                 .map_err(|e| Fail::bad_request("request", e.to_string()))?;
         }
         if let Some(j) = request.get("grid") {
+            let grids = MeshOptions::USER_GRIDS;
+            let (low, high) = (grids.start(), grids.end());
             let n = f64_from_json(j)
-                .filter(|v| v.fract() == 0.0 && (4.0..=128.0).contains(v))
+                .filter(|v| v.fract() == 0.0 && grids.contains(&(*v as usize)))
                 .ok_or_else(|| {
-                    Fail::bad_request("request", "\"grid\" must be an integer between 4 and 128")
+                    let message = format!("\"grid\" must be an integer between {low} and {high}");
+                    Fail::bad_request("request", message)
                 })? as usize;
-            options.dram_nx = n;
-            options.dram_ny = n;
-            options.logic_nx = n + 2;
-            options.logic_ny = n;
+            options = options.with_grid(n);
         }
         Ok(options)
     }
@@ -1680,13 +1680,8 @@ mod tests {
     const QUICK_CFG: &str = "benchmark = ddr3-off\n";
 
     fn quick_state(cache_bytes: usize) -> ServeState {
-        let mut mesh = MeshOptions::coarse();
-        mesh.dram_nx = 8;
-        mesh.dram_ny = 8;
-        mesh.logic_nx = 10;
-        mesh.logic_ny = 8;
         ServeState::new(ServeOptions {
-            mesh,
+            mesh: MeshOptions::coarse().with_grid(8),
             cache_bytes,
             ..ServeOptions::default()
         })
@@ -1775,6 +1770,23 @@ mod tests {
             0,
             "bad configs never reach the cache"
         );
+    }
+
+    #[test]
+    fn out_of_range_grid_is_a_bad_request() {
+        let state = quick_state(DEFAULT_CACHE_BYTES);
+        let mut request = solve_request(QUICK_CFG);
+        if let Json::Obj(pairs) = &mut request {
+            pairs.push(("grid".into(), Json::num(3.0)));
+        }
+        let response = state.handle_request(&request);
+        let outcome = response.get("outcome").unwrap();
+        assert_eq!(outcome.get("stage").unwrap().as_str(), Some("request"));
+        assert_eq!(
+            outcome.get("error").unwrap().as_str(),
+            Some("\"grid\" must be an integer between 4 and 128")
+        );
+        assert_eq!(state.cache_stats().misses, 0);
     }
 
     #[test]
@@ -2010,13 +2022,8 @@ mod tests {
     #[test]
     fn breaker_opens_after_threshold_and_recovers_half_open() {
         let plan = Arc::new(FaultPlan::new(3).with_build_failures(1.0).with_budget(3));
-        let mut mesh = MeshOptions::coarse();
-        mesh.dram_nx = 8;
-        mesh.dram_ny = 8;
-        mesh.logic_nx = 10;
-        mesh.logic_ny = 8;
         let state = ServeState::new(ServeOptions {
-            mesh,
+            mesh: MeshOptions::coarse().with_grid(8),
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(40),
             fault_plan: Some(plan),

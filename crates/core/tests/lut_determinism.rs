@@ -6,7 +6,11 @@
 //!    to a build whose basis is solved strictly sequentially through
 //!    single `PreparedSystem::solve` calls;
 //! 2. the superposed values agree with direct per-case solves to solver
-//!    tolerance (the superposition is a refactoring, not an approximation).
+//!    tolerance (the superposition is a refactoring, not an approximation);
+//! 3. the run report's phase tree, paths and call counts, is the same at
+//!    1 and 4 threads: the basis solves sit under `lut_build` either way.
+//!
+//! One `#[test]`, since the phase table is process-wide.
 
 use pi3d_core::{build_ir_lut_from_mesh, Platform, LUT_ACTIVITIES};
 use pi3d_layout::{Benchmark, DieState, MemoryState, StackDesign};
@@ -28,7 +32,9 @@ fn lut_is_bit_identical_across_thread_counts() {
     // Batch basis solves at several thread counts must reproduce the
     // single-threaded table bit for bit (solve_batch itself is pinned
     // against sequential PreparedSystem::solve calls in pi3d-solver).
+    let mut trees = Vec::new();
     for threads in [1, 4] {
+        pi3d_telemetry::span::reset();
         let platform = Platform::new(MeshOptions {
             threads,
             ..MeshOptions::coarse()
@@ -36,7 +42,16 @@ fn lut_is_bit_identical_across_thread_counts() {
         let mesh = platform.evaluate(&design).unwrap();
         let lut = build_ir_lut_from_mesh(&mesh, MAX_BANKS).unwrap();
         assert_eq!(lut, reference, "threads {threads}");
+        let tree: Vec<(String, u64)> = pi3d_telemetry::span::snapshot()
+            .into_iter()
+            .map(|p| (p.path, p.calls))
+            .collect();
+        trees.push(tree);
     }
+    assert_eq!(trees[0], trees[1], "phase tree moved with --threads");
+    // 1 background + 2 per die: all 9 basis solves inside the LUT build.
+    let solves = ("lut_build/cg_solve".to_owned(), 9);
+    assert!(trees[0].contains(&solves), "{:?}", trees[0]);
 
     // Superposition accuracy: every tabulated value matches a direct
     // per-case solve to well within solver tolerance.

@@ -22,13 +22,8 @@ use std::time::Duration;
 const QUICK_CFG: &str = "benchmark = ddr3-off\n";
 
 fn quick_options() -> ServeOptions {
-    let mut mesh = MeshOptions::coarse();
-    mesh.dram_nx = 8;
-    mesh.dram_ny = 8;
-    mesh.logic_nx = 10;
-    mesh.logic_ny = 8;
     ServeOptions {
-        mesh,
+        mesh: MeshOptions::coarse().with_grid(8),
         ..ServeOptions::default()
     }
 }

@@ -11,13 +11,8 @@ use std::sync::Arc;
 const QUICK_CFG: &str = "benchmark = ddr3-off\n";
 
 fn quick_state(cache_bytes: usize) -> ServeState {
-    let mut mesh = MeshOptions::coarse();
-    mesh.dram_nx = 8;
-    mesh.dram_ny = 8;
-    mesh.logic_nx = 10;
-    mesh.logic_ny = 8;
     ServeState::new(ServeOptions {
-        mesh,
+        mesh: MeshOptions::coarse().with_grid(8),
         cache_bytes,
         ..ServeOptions::default()
     })

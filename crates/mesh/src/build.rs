@@ -46,6 +46,7 @@ use pi3d_layout::{
     TsvPlacement, C4_PITCH_MM,
 };
 use pi3d_solver::{CgSolver, CooBuilder, CsrMatrix, Preconditioner, PreparedSystem, SolverError};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Fraction of the preferred-direction strap conductance available in the
@@ -171,25 +172,25 @@ impl Default for MeshOptions {
 }
 
 impl MeshOptions {
+    /// The DRAM grids a user may ask for (the CLI's `--grid`, a serve
+    /// request's `"grid"`).
+    pub const USER_GRIDS: RangeInclusive<usize> = 4..=128;
+
     /// A coarse, fast configuration for sweeps and tests.
     pub fn coarse() -> Self {
-        MeshOptions {
-            dram_nx: 14,
-            dram_ny: 14,
-            logic_nx: 16,
-            logic_ny: 14,
-            ..Self::default()
-        }
+        Self::default().with_grid(14)
     }
 
-    /// A fine configuration for validation runs.
-    pub fn fine() -> Self {
+    /// These options on an `n × n` DRAM grid, with the logic die two
+    /// columns wider (`(n + 2) × n`), as in the default mesh.
+    #[must_use]
+    pub fn with_grid(self, n: usize) -> Self {
         MeshOptions {
-            dram_nx: 40,
-            dram_ny: 40,
-            logic_nx: 44,
-            logic_ny: 40,
-            ..Self::default()
+            dram_nx: n,
+            dram_ny: n,
+            logic_nx: n + 2,
+            logic_ny: n,
+            ..self
         }
     }
 }

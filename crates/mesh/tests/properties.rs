@@ -67,13 +67,7 @@ fn arb_state(rng: &mut SplitMix64) -> MemoryState {
 }
 
 fn tiny() -> MeshOptions {
-    MeshOptions {
-        dram_nx: 10,
-        dram_ny: 10,
-        logic_nx: 12,
-        logic_ny: 10,
-        ..MeshOptions::coarse()
-    }
+    MeshOptions::coarse().with_grid(10)
 }
 
 #[test]

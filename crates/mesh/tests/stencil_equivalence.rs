@@ -59,12 +59,8 @@ fn arb_design(rng: &mut SplitMix64) -> StackDesign {
 
 fn tiny(faults: Option<FaultSpec>) -> MeshOptions {
     MeshOptions {
-        dram_nx: 10,
-        dram_ny: 10,
-        logic_nx: 12,
-        logic_ny: 10,
         faults,
-        ..MeshOptions::coarse()
+        ..MeshOptions::coarse().with_grid(10)
     }
 }
 
@@ -140,13 +136,9 @@ fn refined_baseline_iteration_counts_are_pinned() {
             let mesh = StackMesh::new(
                 &design,
                 MeshOptions {
-                    dram_nx: grid,
-                    dram_ny: grid,
-                    logic_nx: grid + 2,
-                    logic_ny: grid,
                     preconditioner: pc,
                     threads: 1,
-                    ..MeshOptions::default()
+                    ..MeshOptions::default().with_grid(grid)
                 },
             )
             .expect("mesh builds");

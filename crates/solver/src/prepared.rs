@@ -234,12 +234,9 @@ impl PreparedSystem {
     ///
     /// Returns the first (by input index) solve error, if any.
     pub fn solve_batch(&self, rhs_batch: &[Vec<f64>]) -> Result<Vec<CgSolution>, SolverError> {
-        {
-            let _span = pi3d_telemetry::span::span("solve_batch");
-            pi3d_telemetry::metrics::counter("solver.prepared.batches").incr(1);
-            pi3d_telemetry::metrics::histogram("solver.prepared.batch_size")
-                .record(rhs_batch.len() as u64);
-        }
+        pi3d_telemetry::metrics::counter("solver.prepared.batches").incr(1);
+        pi3d_telemetry::metrics::histogram("solver.prepared.batch_size")
+            .record(rhs_batch.len() as u64);
         self.record_solve(rhs_batch.len() as u64);
         parallel_map(rhs_batch, self.threads, |index, rhs| {
             // One trace slice per right-hand side, so the batch fan-out

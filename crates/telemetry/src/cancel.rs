@@ -42,10 +42,6 @@ pub const SIGTERM: i32 = 15;
 
 /// A cloneable handle to a shared cancellation flag.
 ///
-/// Equality is identity: two tokens compare equal when they observe the
-/// *same* flag (the global flag, or the same local allocation), which is
-/// what solver-configuration equality needs.
-///
 /// # Examples
 ///
 /// ```
@@ -105,16 +101,6 @@ impl CancelToken {
 impl Default for CancelToken {
     fn default() -> Self {
         CancelToken::new()
-    }
-}
-
-impl PartialEq for CancelToken {
-    fn eq(&self, other: &Self) -> bool {
-        match (&self.inner, &other.inner) {
-            (Inner::Global, Inner::Global) => true,
-            (Inner::Local(a), Inner::Local(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
     }
 }
 
@@ -249,18 +235,8 @@ mod tests {
     fn clones_share_the_flag() {
         let a = CancelToken::new();
         let b = a.clone();
-        assert_eq!(a, b);
         b.cancel();
         assert!(a.is_cancelled());
-    }
-
-    #[test]
-    fn equality_is_identity() {
-        let a = CancelToken::new();
-        let b = CancelToken::new();
-        assert_ne!(a, b);
-        assert_eq!(CancelToken::global(), CancelToken::global());
-        assert_ne!(CancelToken::global(), a);
     }
 
     #[test]

@@ -154,10 +154,15 @@ where
 
     type Slot<R> = (usize, Result<R, Box<dyn Any + Send>>);
     let next = AtomicUsize::new(0);
+    // Workers nest their spans where the caller's would have gone, so
+    // the phase tree does not depend on the thread count.
+    let path = crate::span::current_path();
     let per_worker: Vec<Vec<Slot<R>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
+                let path = path.clone();
                 scope.spawn(|| {
+                    crate::span::adopt_path(path);
                     let mut local = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -300,6 +305,27 @@ mod tests {
             vec![true, true],
             "items did not overlap on two threads"
         );
+    }
+
+    #[test]
+    fn workers_nest_their_spans_under_the_callers() {
+        let _guard = crate::test_support::serial();
+        crate::span::reset();
+        {
+            let _caller = crate::span::span("t_par_caller");
+            parallel_map(&[0u8; 6], 3, |_, _| {
+                let _item = crate::span::span("t_par_item");
+            });
+        }
+        let phases: Vec<(String, u64)> = crate::span::snapshot()
+            .into_iter()
+            .map(|p| (p.path, p.calls))
+            .collect();
+        assert!(
+            phases.contains(&("t_par_caller/t_par_item".to_owned(), 6)),
+            "{phases:?}"
+        );
+        assert!(!phases.iter().any(|(p, _)| p == "t_par_item"), "{phases:?}");
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! table keyed by the slash-joined path (`"mesh_build/stamp"`). Nested
 //! spans therefore produce a tree: children carry their parents' prefix,
 //! and [`snapshot`] returns the aggregate per path, sorted so a parent
-//! precedes its children.
+//! precedes its children. A [`crate::par`] worker thread starts from the
+//! path open where its work was handed out, so work fanned across threads
+//! lands under the same parent as work run inline; the children of such a
+//! parent can then sum to more than its wall time.
 //!
 //! ```
 //! use pi3d_telemetry::span;
@@ -89,6 +92,17 @@ pub fn span(name: &'static str) -> Span {
         start: Instant::now(),
         depth,
     }
+}
+
+/// The span path open on this thread.
+pub(crate) fn current_path() -> Vec<&'static str> {
+    PATH.with(|p| p.borrow().clone())
+}
+
+/// Makes `path` this thread's open span path, so the spans it opens nest
+/// under the spans open on the thread that handed it work.
+pub(crate) fn adopt_path(path: Vec<&'static str>) {
+    PATH.with(|p| *p.borrow_mut() = path);
 }
 
 /// Aggregate timing for one node of the phase tree.
