@@ -445,6 +445,47 @@ assert r["correct"] is True and r["failed"] == 0, {k: r[k] for k in r if k != "m
 print(sys.argv[1], "golden OK:", r["attempted"], "ops, 0 failed")
 ' "$workload"
     done
+    # The short runs above time a sample of the golden keys; recompute
+    # every answer with the perfbench binary run.py built (about 20 s)
+    # and compare each key by perfbench's rule: integers exact, floats
+    # within 1e-6 relative.
+    "${CARGO_TARGET_DIR:-.bench_build}/release/perfbench" golden \
+        --out "$tmp/golden.txt" 2> "$tmp/golden_all.log"
+    python3 - perfbench/golden.txt "$tmp/golden.txt" <<'EOF'
+import sys
+
+def load(path):
+    answers = {}
+    for line in open(path):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        key, vals = line.split("\t", 1)
+        answers[key] = [(v[0], int(v[2:]) if v[0] == "i" else float(v[2:]))
+                        for v in vals.split(" ")]
+    return answers
+
+def agree(w, g):
+    if len(w) != len(g):
+        return False
+    for (wk, wv), (gk, gv) in zip(w, g):
+        if wk != gk:
+            return False
+        if wk == "i" and wv != gv:
+            return False
+        if wk == "f" and not (wv == gv or (wv != wv and gv != gv)
+                              or abs(wv - gv) <= 1e-6 * max(abs(wv), abs(gv))):
+            return False
+    return True
+
+want, got = load(sys.argv[1]), load(sys.argv[2])
+bad = [k for k in sorted(set(want) | set(got))
+       if k not in want or k not in got or not agree(want[k], got[k])]
+assert not bad, f"{len(bad)} golden keys differ, first: {bad[:5]}"
+same = open(sys.argv[1], "rb").read() == open(sys.argv[2], "rb").read()
+print(f"golden OK: all {len(want)} keys agree;",
+      "byte-identical to perfbench/golden.txt:", "yes" if same else "no")
+EOF
 else
     echo "golden check skipped (needs python3)"
 fi

@@ -326,42 +326,52 @@ fn job_context(args: &Args) -> Result<JobContext, Box<dyn std::error::Error>> {
 }
 
 fn print_usage() {
-    eprintln!(
-        "usage:\n  \
-         pi3d analyze  <design.cfg> [--state S] [--activity A] [--both-nets] [--grid N]\n  \
-         pi3d currents <design.cfg> [--state S] [--activity A]\n  \
-         pi3d lut      <design.cfg> --out FILE [--grid N] [--threads N]\n  \
-         pi3d transient <design.cfg> [--state S] [--steps N]\n  \
-         pi3d simulate <design.cfg> [--policy standard|fcfs|distr|all] [--constraint MV]\n  \
-                       [--reads N] [--lut FILE] [--trace FILE] [--grid N] [--max-cycles N]\n  \
-         pi3d optimize <benchmark>  [--alpha A] [--threads N] [--grid N]\n  \
-         pi3d faults   [design.cfg] [--seed N] [--tsv-open P] [--bump-open P]\n  \
-                       [--via-void P] [--em-drift S] [--levels L1,L2,..]\n  \
-                       [--trials N] [--reads N] [--grid N]\n  \
-         pi3d merge-journals --out FILE SHARD0 SHARD1 ..   (verified shard merge)\n  \
-         pi3d export   <design.cfg> [--svg FILE] [--spice FILE] [--state S]\n  \
-         pi3d trace    <trace.json> [--top N]\n  \
-         pi3d tables   [--quick] [NAME ...]   (the paper's tables and figures)\n  \
-                       NAME: {names}\n  \
-         pi3d serve    [--listen unix:PATH|tcp:host:port] [--workers N]\n  \
-                       [--cache-bytes N] [--queue-limit N] [--deadline SECS]\n  \
-                       [--max-frame-bytes N] [--idle-timeout SECS]\n  \
-         pi3d call     <addr> [REQUEST_JSON ...]   (reads stdin lines if no args)\n  \
-                       [--retries N] [--retry-base-ms MS] [--retry-seed N]\n  \
-                       [--timeout SECS]\n\
-         global flags: [--threads N] [--precond jacobi|ic|mg]\n\
-                       [--log-level off|error|warn|info|debug|trace]\n\
-                       [--metrics-out FILE] [--trace-out FILE] [--trace-capacity N]\n\
-                       [--progress [json]]\n\
-         durable runs (faults/optimize/simulate): [--journal FILE] [--resume FILE]\n\
-                       [--deadline SECS] [--cancel-file FILE]\n\
-         sharded runs (faults/optimize): --shards N --journal FILE\n\
-                       [--max-unit-attempts K]   (see DESIGN.md section 19)\n\
-         exit codes:   0 ok, 1 error, 75 units quarantined, 101 panic (serve\n\
-                       outcome), 124 deadline, 130 cancelled (SIGINT),\n\
-                       143 terminated (SIGTERM)",
-        names = tables_cmd::names("        ")
+    eprintln!("{}", usage());
+}
+
+/// The usage text, one string per line, so each continuation line keeps
+/// the indentation that puts it under the line it continues.
+fn usage() -> String {
+    let names = format!(
+        "                NAME: {}",
+        tables_cmd::names(&" ".repeat(22))
     );
+    [
+        "usage:",
+        "  pi3d analyze  <design.cfg> [--state S] [--activity A] [--both-nets] [--grid N]",
+        "  pi3d currents <design.cfg> [--state S] [--activity A]",
+        "  pi3d lut      <design.cfg> --out FILE [--grid N] [--threads N]",
+        "  pi3d transient <design.cfg> [--state S] [--steps N]",
+        "  pi3d simulate <design.cfg> [--policy standard|fcfs|distr|all] [--constraint MV]",
+        "                [--reads N] [--lut FILE] [--trace FILE] [--grid N] [--max-cycles N]",
+        "  pi3d optimize <benchmark>  [--alpha A] [--threads N] [--grid N]",
+        "  pi3d faults   [design.cfg] [--seed N] [--tsv-open P] [--bump-open P]",
+        "                [--via-void P] [--em-drift S] [--levels L1,L2,..]",
+        "                [--trials N] [--reads N] [--grid N]",
+        "  pi3d merge-journals --out FILE SHARD0 SHARD1 ..   (verified shard merge)",
+        "  pi3d export   <design.cfg> [--svg FILE] [--spice FILE] [--state S]",
+        "  pi3d trace    <trace.json> [--top N]",
+        "  pi3d tables   [--quick] [NAME ...]   (the paper's tables and figures)",
+        &names,
+        "  pi3d serve    [--listen unix:PATH|tcp:host:port] [--workers N]",
+        "                [--cache-bytes N] [--queue-limit N] [--deadline SECS]",
+        "                [--max-frame-bytes N] [--idle-timeout SECS]",
+        "  pi3d call     <addr> [REQUEST_JSON ...]   (reads stdin lines if no args)",
+        "                [--retries N] [--retry-base-ms MS] [--retry-seed N]",
+        "                [--timeout SECS]",
+        "global flags: [--threads N] [--precond jacobi|ic|mg]",
+        "              [--log-level off|error|warn|info|debug|trace]",
+        "              [--metrics-out FILE] [--trace-out FILE] [--trace-capacity N]",
+        "              [--progress [json]]",
+        "durable runs (faults/optimize/simulate): [--journal FILE] [--resume FILE]",
+        "              [--deadline SECS] [--cancel-file FILE]",
+        "sharded runs (faults/optimize): --shards N --journal FILE",
+        "              [--max-unit-attempts K]   (see DESIGN.md section 19)",
+        "exit codes:   0 ok, 1 error, 75 units quarantined, 101 panic (serve",
+        "              outcome), 124 deadline, 130 cancelled (SIGINT),",
+        "              143 terminated (SIGTERM)",
+    ]
+    .join("\n")
 }
 
 /// Loads the design file together with the mesh options its solver keys

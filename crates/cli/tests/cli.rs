@@ -231,6 +231,39 @@ fn help_flag_prints_usage_and_succeeds() {
     assert!(stderr.contains("usage:"), "{stderr}");
 }
 
+/// Every wrapped line of `--help` sits deeper than the line that starts
+/// its entry: a command (`  pi3d ...`) or a section label (`exit codes:`).
+#[test]
+fn help_continuation_lines_stay_indented() {
+    let out = pi3d(&["--help"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let indent = |line: &str| line.len() - line.trim_start().len();
+    let starts_entry = |line: &str| {
+        line.starts_with("  pi3d ")
+            || line.split_once(':').is_some_and(|(label, _)| {
+                label.starts_with(|c: char| c.is_ascii_lowercase())
+                    && label
+                        .chars()
+                        .all(|c| c.is_ascii_lowercase() || " ()/".contains(c))
+            })
+    };
+    let mut entry: Option<&str> = None;
+    let mut continuations = 0;
+    for line in stderr.lines().skip_while(|l| *l != "usage:").skip(1) {
+        if starts_entry(line) {
+            entry = Some(line);
+            continue;
+        }
+        let head = entry.unwrap_or_else(|| panic!("{line:?} continues no entry"));
+        assert!(
+            indent(line) > indent(head),
+            "{line:?} is not indented under {head:?}"
+        );
+        continuations += 1;
+    }
+    assert!(continuations >= 15, "{stderr}");
+}
+
 #[test]
 fn quick_calibration_and_mounting_print_tables() {
     let out = pi3d(&["tables", "--quick", "calibration", "mounting"]);

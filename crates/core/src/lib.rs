@@ -58,6 +58,8 @@ pub use faults::{
     TrialOutcome,
 };
 pub use jobs::{config_fingerprint, unit_key, JobContext, Journal, JournalMode};
+#[doc(hidden)]
+pub use lut_builder::lut_basis_loads;
 pub use lut_builder::{build_ir_lut_from_mesh, LUT_ACTIVITIES};
 pub use optimize::{
     characterize, characterize_plan, characterize_shard, characterize_with, ir_cost, BestSolution,

@@ -9,6 +9,33 @@ use pi3d_mesh::StackMesh;
 /// plus a deep-throttle level for tight IR-drop constraints.
 pub const LUT_ACTIVITIES: [f64; 5] = [0.10, 0.25, 1.0 / 3.0, 0.5, 1.0];
 
+/// The right-hand sides of the LUT's superposition basis (see
+/// [`build_ir_lut_from_mesh`]): the all-idle background, then per die and
+/// powered-bank count `1..=max_banks_per_die` the activity-independent
+/// and the per-unit-activity load contributions, isolated by differencing
+/// single-active-die states against the background.
+///
+/// Not part of the crate's API: it is exported, hidden, only for the
+/// lockstep oracle test (`tests/lockstep_oracle.rs`), which runs in a
+/// process of its own because it reads the process-wide solver counters.
+pub fn lut_basis_loads(mesh: &StackMesh, max_banks_per_die: usize) -> Vec<Vec<f64>> {
+    let dies = mesh.design().dram_die_count();
+    let idle = MemoryState::idle(dies);
+    let background = mesh.load_vector(&idle, 0.0);
+    let mut rhs: Vec<Vec<f64>> = Vec::with_capacity(1 + 2 * dies * max_banks_per_die);
+    rhs.push(background.clone());
+    for die in 0..dies {
+        for count in 1..=max_banks_per_die {
+            let state = idle.with_die(die, DieState::active(count));
+            let at0 = mesh.load_vector(&state, 0.0);
+            let at1 = mesh.load_vector(&state, 1.0);
+            rhs.push(at0.iter().zip(&background).map(|(a, b)| a - b).collect());
+            rhs.push(at1.iter().zip(&at0).map(|(a, b)| a - b).collect());
+        }
+    }
+    rhs
+}
+
 /// Builds the IR-drop lookup table of Section 5.2: the max IR drop of
 /// every memory state with up to `max_banks_per_die` powered banks per
 /// die, at each tabulated I/O activity, using the design's R-Mesh.
@@ -37,9 +64,10 @@ pub const LUT_ACTIVITIES: [f64; 5] = [0.10, 0.25, 1.0 / 3.0, 0.5, 1.0];
 /// `1 + 2 · dies · max_banks_per_die` solves — the basis — instead of
 /// `(max+1)^dies × activities`; the basis right-hand sides go through
 /// [`pi3d_solver::PreparedSystem::solve_batch`], so they reuse the
-/// preconditioner factored at mesh assembly and fan across the configured
-/// worker threads. Both the basis and the recombination are evaluated in a
-/// fixed order, so the table is bit-identical for every thread count.
+/// preconditioner factored at mesh assembly and, with IC(0), run four at a
+/// time in lockstep on each of the configured worker threads. Both the
+/// basis and the recombination are evaluated in a fixed order, so the
+/// table is bit-identical for every thread count.
 ///
 /// # Errors
 ///
@@ -67,31 +95,15 @@ pub fn build_ir_lut_from_mesh(
 ) -> Result<IrDropLut, CoreError> {
     let _span = pi3d_telemetry::span::span("lut_build");
     let dies = mesh.design().dram_die_count();
-
-    // Basis right-hand sides: all-idle background, then per (die, count)
-    // the activity-independent and per-unit-activity load contributions,
-    // isolated by differencing single-active-die states against the
-    // background.
-    let idle = MemoryState::idle(dies);
-    let background = mesh.load_vector(&idle, 0.0);
-    let mut rhs: Vec<Vec<f64>> = Vec::with_capacity(1 + 2 * dies * max_banks_per_die);
-    rhs.push(background.clone());
-    for die in 0..dies {
-        for count in 1..=max_banks_per_die {
-            let state = idle.with_die(die, DieState::active(count));
-            let at0 = mesh.load_vector(&state, 0.0);
-            let at1 = mesh.load_vector(&state, 1.0);
-            rhs.push(at0.iter().zip(&background).map(|(a, b)| a - b).collect());
-            rhs.push(at1.iter().zip(&at0).map(|(a, b)| a - b).collect());
-        }
-    }
-    let basis = mesh.prepared().solve_batch(&rhs)?;
+    let basis = mesh
+        .prepared()
+        .solve_batch(&lut_basis_loads(mesh, max_banks_per_die))?;
     // Basis layout: [0] = background, then per (die, count) the pair
     // (static, dynamic) at 1 + 2·(die·max + count−1).
     let pair = |die: usize, count: u8| 1 + 2 * (die * max_banks_per_die + count as usize - 1);
 
     let mut lut = IrDropLut::new(dies);
-    let n = background.len();
+    let n = basis[0].x.len();
     let mut stat = vec![0.0f64; n];
     let mut dynamic = vec![0.0f64; n];
     for counts in enumerate_states(dies, max_banks_per_die) {

@@ -1318,27 +1318,30 @@ impl ServeState {
 
     /// Deadline/cancellation check between stages: the coarse-grained
     /// complement of the cooperative polls inside the memory simulator.
-    /// A mesh build or CG solve, once started, runs to completion.
+    /// A mesh build or CG solve, once started, runs to completion. The
+    /// exit code is the sweep's (130, 143 under SIGTERM, or 124), but the
+    /// text is serve's own: a request has no journal to resume from.
     fn check_budget(&self, ctx: &JobContext, stage: &str) -> Result<(), Fail> {
-        if ctx.is_cancelled() {
-            return Err(Fail::of(
-                stage,
-                &CoreError::Cancelled {
-                    completed: 0,
-                    total: 1,
-                },
-            ));
-        }
-        if ctx.deadline_exceeded() {
-            return Err(Fail::of(
-                stage,
-                &CoreError::DeadlineExceeded {
-                    completed: 0,
-                    total: 1,
-                },
-            ));
-        }
-        Ok(())
+        let (cause, what) = if ctx.is_cancelled() {
+            let cause = CoreError::Cancelled {
+                completed: 0,
+                total: 1,
+            };
+            (cause, "cancelled")
+        } else if ctx.deadline_exceeded() {
+            let cause = CoreError::DeadlineExceeded {
+                completed: 0,
+                total: 1,
+            };
+            (cause, "deadline exceeded")
+        } else {
+            return Ok(());
+        };
+        Err(Fail {
+            stage: stage.to_owned(),
+            error: format!("request {what} before its {stage} stage"),
+            exit_code: exit_code_for(&cause),
+        })
     }
 
     /// Mesh options for a request: the server defaults, seeded by the
@@ -1827,6 +1830,32 @@ mod tests {
         let outcome = response.get("outcome").unwrap();
         assert_eq!(outcome.get("status").unwrap().as_str(), Some("cancelled"));
         assert_eq!(outcome.get("exit_code").unwrap().as_num(), Some(130.0));
+    }
+
+    /// Serve keeps no journal and has no `--resume`, so an interrupted
+    /// request's error must not point at either.
+    #[test]
+    fn budget_outcomes_promise_no_journal() {
+        let expired = quick_state(DEFAULT_CACHE_BYTES);
+        let mut request = solve_request(QUICK_CFG);
+        if let Json::Obj(pairs) = &mut request {
+            pairs.push(("deadline".into(), Json::num(1e-9)));
+        }
+        std::thread::sleep(Duration::from_millis(2));
+        let late = expired.handle_request(&request);
+        let cancelled = quick_state(DEFAULT_CACHE_BYTES);
+        cancelled.options().cancel.cancel();
+        let stopped = cancelled.handle_request(&solve_request(QUICK_CFG));
+        for (response, what) in [(late, "deadline exceeded"), (stopped, "cancelled")] {
+            let outcome = response.get("outcome").unwrap();
+            let error = outcome.get("error").unwrap().as_str().unwrap();
+            assert!(
+                error.starts_with(&format!("request {what} before its ")),
+                "{error}"
+            );
+            assert!(!error.contains("journal"), "{error}");
+            assert!(!error.contains("--resume"), "{error}");
+        }
     }
 
     #[test]

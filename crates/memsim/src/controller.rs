@@ -394,7 +394,10 @@ impl MemorySimulator {
         );
         let n = requests.len() as u64;
 
-        let mut banks: Vec<Vec<Bank>> = vec![vec![Bank::new(); cfg.banks_per_die]; cfg.dies];
+        // All banks in one array, die-major: bank `b` of die `d` is
+        // `banks[d * bpd + b]`.
+        let bpd = cfg.banks_per_die;
+        let mut banks: Vec<Bank> = vec![Bank::new(); cfg.dies * bpd];
         let mut channels: Vec<ChannelState> = (0..cfg.channels)
             .map(|_| ChannelState {
                 last_read_cmd: None,
@@ -438,13 +441,15 @@ impl MemorySimulator {
         let mut powered: Vec<u8> = vec![0; cfg.dies];
         let mut powered_key: u64 = 0;
         let mut cache = AdmissionCache::new(cfg.dies, activity.window, t.data_cycles());
-        // Reused scheduling scratch (the reference allocates per cycle).
-        let mut order: Vec<usize> = Vec::new();
-        // Per-channel admission memos: `read_allowed`/`activate_allowed`
-        // depend only on the die (and, for tRRD/tFAW, the channel), so one
-        // verdict per die serves every candidate in the scan. Valid within
-        // a channel's scan because state is immutable until a command
-        // issues, which ends the scan.
+        // Reused scheduling scratch (the reference allocates per cycle):
+        // the queue indices in order (a one-channel stack's candidates),
+        // each channel's queue indices on a multi-channel stack, DistR's
+        // priority order, and the queue indices of this cycle's reads.
+        let all_indices: Vec<usize> = (0..cfg.queue_capacity).collect();
+        let mut channel_candidates: Vec<Vec<usize>> = vec![Vec::new(); cfg.channels];
+        let mut distr_order: Vec<usize> = Vec::new();
+        let mut issued_reads: Vec<usize> = Vec::with_capacity(cfg.channels);
+        // Per-die admission memos (see step 5).
         let mut read_ok: Vec<Option<bool>> = vec![None; cfg.dies];
         let mut act_ok: Vec<Option<bool>> = vec![None; cfg.dies];
         // Per-die refresh gate scratch (filled per cycle when refresh is
@@ -612,7 +617,9 @@ impl MemorySimulator {
                 for die in 0..cfg.dies {
                     if cycle >= refresh_due[die]
                         && cycle >= refreshing_until[die]
-                        && banks[die].iter().all(|b| b.can_activate_at(cycle))
+                        && banks[die * bpd..(die + 1) * bpd]
+                            .iter()
+                            .all(|b| b.can_activate_at(cycle))
                     {
                         refreshing_until[die] = cycle + t.t_rfc as u64;
                         max_refreshing_until = max_refreshing_until.max(refreshing_until[die]);
@@ -635,7 +642,7 @@ impl MemorySimulator {
                 while m != 0 {
                     let bk = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    let bank = &banks[die][bk];
+                    let bank = &banks[die * bpd + bk];
                     let open = bank.open_row().expect("open-mask bank has a row");
                     let idle = bank.idle_for(cycle);
                     if idle < idle_close || !bank.can_precharge_at(cycle) {
@@ -649,8 +656,8 @@ impl MemorySimulator {
                         .iter()
                         .any(|r| r.die == die && r.bank == bk && r.row == open);
                     if !wanted || idle >= starve {
-                        banks[die][bk].tick(cycle);
-                        banks[die][bk].precharge(cycle, t.t_rp);
+                        banks[die * bpd + bk].tick(cycle);
+                        banks[die * bpd + bk].precharge(cycle, t.t_rp);
                         open_mask[die] &= !(1 << bk);
                         precharging_mask[die] |= 1 << bk;
                         powered[die] -= 1;
@@ -671,50 +678,76 @@ impl MemorySimulator {
             }
 
             // 5. Issue at most one command per channel. The queue is kept
-            // in admission (= id) order, so FCFS priority needs no sort at
-            // all, and DistR's (powered, id) priority falls out of a
-            // counting pass per powered level — each level collects in id
+            // in admission (= id) order. A one-channel stack takes the
+            // whole queue as its candidates; a multi-channel stack splits
+            // it in one pass into per-channel lists, each in id order. So
+            // FCFS priority needs no sort at all, and DistR's (powered,
+            // id) priority falls out of a counting pass per powered level
+            // over the channel's candidates — each level collects in id
             // order, matching the reference's stable comparator sort.
+            // Issued reads leave the queue after the last channel, so the
+            // indices stay valid throughout; channels never share a
+            // request, so none sees another's issued read.
+            if cfg.channels > 1 {
+                for list in channel_candidates.iter_mut() {
+                    list.clear();
+                }
+                for (i, req) in queue.iter().enumerate() {
+                    if let Some(list) = channel_candidates.get_mut(req.channel) {
+                        list.push(i);
+                    }
+                }
+            }
+            issued_reads.clear();
+            // Admission memos: `read_allowed`/`activate_allowed` depend
+            // only on the die (and, for the standard policy's tRRD/tFAW,
+            // the channel), so one verdict per die serves every candidate
+            // until a command issues and changes the state they read.
+            read_ok.fill(None);
+            act_ok.fill(None);
             let mut issued_this_cycle = false;
             for ch in 0..cfg.channels {
-                order.clear();
-                match self.policy.scheduling {
-                    SchedulingPolicy::Fcfs if cfg.channels == 1 => {
-                        order.extend(0..queue.len());
-                    }
-                    SchedulingPolicy::Fcfs => {
-                        order.extend((0..queue.len()).filter(|&i| queue[i].channel == ch));
-                    }
+                let candidates = if cfg.channels == 1 {
+                    &all_indices[..queue.len()]
+                } else {
+                    &channel_candidates[ch][..]
+                };
+                if candidates.is_empty() {
+                    continue;
+                }
+                let order = match self.policy.scheduling {
+                    SchedulingPolicy::Fcfs => candidates,
                     SchedulingPolicy::DistributedRead => {
                         // Single bucketed pass (admission caps powered
                         // counts at `max_powered_per_die`, so the levels
-                        // are exhaustive); each bucket collects in id
-                        // order, so the concatenation reproduces the
-                        // reference's stable (powered, id) sort.
+                        // are exhaustive).
                         for buf in level_bufs.iter_mut() {
                             buf.clear();
                         }
-                        for i in 0..queue.len() {
+                        for &i in candidates {
                             if queue[i].channel == ch {
                                 level_bufs[powered[queue[i].die] as usize].push(i);
                             }
                         }
+                        distr_order.clear();
                         for buf in level_bufs.iter() {
-                            order.extend_from_slice(buf);
+                            distr_order.extend_from_slice(buf);
                         }
+                        &distr_order[..]
                     }
-                }
+                };
                 let eligible = order.len();
-                order.truncate(self.policy.reorder_window());
+                let order = &order[..eligible.min(self.policy.reorder_window())];
 
                 // Data-bus spacing (tCCD and burst occupancy) is a
-                // channel-level property; admission verdicts are die-level.
-                // Both are hoisted out of the candidate scan.
+                // channel-level property, hoisted out of the candidate
+                // scan.
                 let spacing_ok = channels[ch]
                     .last_read_cmd
                     .is_none_or(|last| cycle >= last + spacing);
-                read_ok.iter_mut().for_each(|v| *v = None);
-                act_ok.iter_mut().for_each(|v| *v = None);
+                if standard {
+                    act_ok.fill(None);
+                }
 
                 let mut issued = false;
                 for (pos, &qi) in order.iter().enumerate() {
@@ -723,7 +756,8 @@ impl MemorySimulator {
                         continue; // die busy refreshing
                     }
                     let refresh_pending = die_refresh_pending[req.die];
-                    let bank = &banks[req.die][req.bank];
+                    let b = req.die * bpd + req.bank;
+                    let bank = &banks[b];
                     if bank.can_read_at(cycle, req.row) {
                         let ok = spacing_ok
                             && *read_ok[req.die].get_or_insert_with(|| {
@@ -735,8 +769,8 @@ impl MemorySimulator {
                                 )
                             });
                         if ok {
-                            banks[req.die][req.bank].tick(cycle);
-                            banks[req.die][req.bank].read(cycle, req.row);
+                            banks[b].tick(cycle);
+                            banks[b].read(cycle, req.row);
                             activity.record(cycle, req.die, t.data_cycles());
                             channels[ch].last_read_cmd = Some(cycle);
                             let done = cycle + t.t_cl as u64 + t.data_cycles() as u64;
@@ -744,10 +778,7 @@ impl MemorySimulator {
                                 row_hits += 1;
                             }
                             in_flight.push((done, req));
-                            // Shifting removal keeps the queue in id order,
-                            // which is what lets the FCFS/DistR priority
-                            // passes above skip the comparator sort.
-                            queue.remove(qi);
+                            issued_reads.push(qi);
                             issued = true;
                             // Issuing breaks the priority scan (one command
                             // per channel per cycle), so any candidate after
@@ -762,9 +793,9 @@ impl MemorySimulator {
                             last_progress_cycle = cycle;
                         }
                     } else if bank.open_row().is_some() && bank.open_row() != Some(req.row) {
-                        if banks[req.die][req.bank].can_precharge_at(cycle) {
-                            banks[req.die][req.bank].tick(cycle);
-                            banks[req.die][req.bank].precharge(cycle, t.t_rp);
+                        if banks[b].can_precharge_at(cycle) {
+                            banks[b].tick(cycle);
+                            banks[b].precharge(cycle, t.t_rp);
                             open_mask[req.die] &= !(1 << req.bank);
                             precharging_mask[req.die] |= 1 << req.bank;
                             powered[req.die] -= 1;
@@ -788,8 +819,8 @@ impl MemorySimulator {
                             )
                         })
                     {
-                        banks[req.die][req.bank].tick(cycle);
-                        banks[req.die][req.bank].activate(cycle, req.row, t.t_rcd, t.t_ras);
+                        banks[b].tick(cycle);
+                        banks[b].activate(cycle, req.row, t.t_rcd, t.t_ras);
                         open_mask[req.die] |= 1 << req.bank;
                         powered[req.die] += 1;
                         powered_key += 1 << (4 * req.die);
@@ -813,7 +844,18 @@ impl MemorySimulator {
                         break;
                     }
                 }
-                issued_this_cycle |= issued;
+                if issued {
+                    read_ok.fill(None);
+                    act_ok.fill(None);
+                    issued_this_cycle = true;
+                }
+            }
+            // Shifting removal, highest index first, keeps the queue in id
+            // order, which is what lets the priority passes above skip the
+            // comparator sort.
+            issued_reads.sort_unstable_by(|a, b| b.cmp(a));
+            for &qi in &issued_reads {
+                queue.remove(qi);
             }
             if !queue.is_empty() && !issued_this_cycle {
                 stall_cycles += 1;
@@ -890,7 +932,7 @@ impl MemorySimulator {
                 while m != 0 {
                     let bk = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    let b = &banks[die][bk];
+                    let b = &banks[die * bpd + bk];
                     match b.phase() {
                         BankPhase::Activating { ready_at, .. } if ready_at >= cycle => {
                             upd(ready_at);

@@ -140,18 +140,51 @@ fn event_loop_matches_reference_with_refresh() {
 }
 
 /// Other timing presets flex every derived event offset (tFAW window,
-/// burst occupancy, idle-close thresholds, stall horizon).
+/// burst occupancy, idle-close thresholds, stall horizon). Each runs on
+/// the one-channel DDR3 stack, where its tFAW and tRRD bind on a dense
+/// single queue, and at its platform's own channel and bank counts
+/// (Wide I/O 4 × 16, HMC 16 × 32), so the per-channel candidate lists,
+/// the admission memos shared across channels and the reads removed
+/// after the channel loop are checked against the stepper too.
 #[test]
 fn event_loop_matches_reference_on_other_timing_presets() {
-    for (name, timing) in [
-        ("wide_io_200", TimingParams::wide_io_200()),
-        ("hmc_2500", TimingParams::hmc_2500()),
-    ] {
+    let presets = [
+        ("wide_io_200", TimingParams::wide_io_200(), 4, 16),
+        ("hmc_2500", TimingParams::hmc_2500(), 16, 32),
+    ];
+    for (name, timing, _, _) in presets {
         let reqs = workload(500, 0x5eed_0001, 6);
         for policy in policies(MilliVolts(30.0)) {
             let sim =
                 MemorySimulator::new(timing, SimConfig::paper_ddr3(), policy, synthetic_lut(4));
             assert_equivalent(&sim, &reqs, &format!("{name} ({})", policy.name()));
+        }
+    }
+    for (name, timing, channels, banks_per_die) in presets {
+        let config = SimConfig {
+            channels,
+            banks_per_die,
+            ..SimConfig::paper_ddr3()
+        };
+        for seed in [0x5eed_0001, 0x5eed_0011, 0x5eed_0021] {
+            let mut spec = WorkloadSpec::paper_ddr3();
+            spec.count = 500;
+            spec.seed = seed;
+            spec.arrival_interval = 3;
+            spec.channels = channels;
+            spec.banks_per_die = banks_per_die;
+            let reqs = spec.generate();
+            for cap in [30.0, 26.0] {
+                for policy in policies(MilliVolts(cap)) {
+                    let sim =
+                        MemorySimulator::new(timing, config.clone(), policy, synthetic_lut(4));
+                    assert_equivalent(
+                        &sim,
+                        &reqs,
+                        &format!("{name} seed {seed:#x} cap {cap} ({})", policy.name()),
+                    );
+                }
+            }
         }
     }
 }

@@ -141,10 +141,12 @@ pub struct MeshOptions {
     /// configurable power-TSV placement. They carry the I/O supply current
     /// drawn by the pad drivers. Set to 0 for ablation studies.
     pub pad_row_tsvs: usize,
-    /// How many right-hand sides a batch solve through the mesh's
-    /// [`PreparedSystem::solve_batch`] (the IR-drop LUT basis) runs at
-    /// once. A single solve always runs on the calling thread; results
-    /// are bit-identical for every value.
+    /// How many workers a batch solve through the mesh's
+    /// [`PreparedSystem::solve_batch`] (the IR-drop LUT basis) runs on;
+    /// with IC(0) each worker solves four right-hand sides in lockstep,
+    /// so a batch of `n` uses at most ⌈n/4⌉ workers. A single solve
+    /// always runs on the calling thread; results are bit-identical for
+    /// every value.
     pub threads: usize,
     /// Seeded PDN defects to inject during assembly (`None` = pristine
     /// mesh). The draw order is fixed by the single-threaded assembly

@@ -23,7 +23,7 @@ pub struct CgSolution {
     pub residual_trace: Vec<f64>,
 }
 
-fn record_solve(iterations: usize, relres: f64, trace: &[f64]) {
+pub(crate) fn record_solve(iterations: usize, relres: f64, trace: &[f64]) {
     use pi3d_telemetry::{metrics, report};
     metrics::counter("solver.cg.solves").incr(1);
     metrics::counter("solver.cg.iterations").incr(iterations as u64);

@@ -264,6 +264,15 @@ impl CsrMatrix {
     ///
     /// Panics if `x` or `y` have a length other than `dim()`.
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) {
+        self.mul_lanes_into::<1>(x.as_chunks().0, y.as_chunks_mut().0);
+    }
+
+    /// Computes `y = A·x` for `K` vectors at once, interleaved one
+    /// `[f64; K]` per row, so each entry is loaded once for all of them.
+    /// [`mul_vec_into`](Self::mul_vec_into) is the `K` = 1 instance, and
+    /// every lane sums its row in column order, so each lane is
+    /// bit-identical to a single product of it.
+    pub(crate) fn mul_lanes_into<const K: usize>(&self, x: &[[f64; K]], y: &mut [[f64; K]]) {
         assert_eq!(x.len(), self.dim);
         assert_eq!(y.len(), self.dim);
         // One relaxed atomic add per spmv; negligible next to the
@@ -271,11 +280,14 @@ impl CsrMatrix {
         static SPMV: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
             std::sync::OnceLock::new();
         SPMV.get_or_init(|| pi3d_telemetry::metrics::counter("solver.csr.spmv"))
-            .incr(1);
+            .incr(K as u64);
         for (r, out) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
+            let mut acc = [0.0; K];
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
+                let (v, xc) = (self.values[k], &x[self.col_idx[k] as usize]);
+                for l in 0..K {
+                    acc[l] += v * xc[l];
+                }
             }
             *out = acc;
         }

@@ -55,6 +55,7 @@ mod cg;
 mod csr;
 mod dense;
 mod error;
+mod lockstep;
 mod multigrid;
 mod precond;
 mod prepared;

@@ -319,6 +319,15 @@ impl IncompleteCholesky {
     ///
     /// Panics if `r` or `z` length differs from the matrix dimension.
     pub fn apply(&self, r: &[f64], z: &mut [f64]) {
+        self.apply_lanes::<1>(r.as_chunks().0, z.as_chunks_mut().0);
+    }
+
+    /// Applies `z = (L·Lᵀ)⁻¹·r` to `K` vectors at once, interleaved one
+    /// `[f64; K]` per row, so one pass over the factor serves all of
+    /// them. [`apply`](Self::apply) is the `K` = 1 instance, and every
+    /// lane takes the rows in the stored order and each row's terms in
+    /// the same order, so each lane is bit-identical to a single apply.
+    pub(crate) fn apply_lanes<const K: usize>(&self, r: &[[f64; K]], z: &mut [[f64; K]]) {
         assert_eq!(r.len(), self.order.len());
         assert_eq!(z.len(), self.order.len());
         // Forward: L·y = r. A row reads only rows solved before it.
@@ -326,18 +335,24 @@ impl IncompleteCholesky {
             let (lo, hi) = (self.l_ptr[p], self.l_ptr[p + 1]);
             let mut acc = r[i as usize];
             for (&c, &v) in self.l_col[lo..hi].iter().zip(&self.l_val[lo..hi]) {
-                acc -= v * z[c as usize];
+                let zc = z[c as usize];
+                for l in 0..K {
+                    acc[l] -= v * zc[l];
+                }
             }
-            z[i as usize] = acc / self.diag[p];
+            z[i as usize] = acc.map(|a| a / self.diag[p]);
         }
         // Backward: Lᵀ·z = y, from the last position down.
         for (p, &j) in self.order.iter().enumerate().rev() {
             let (lo, hi) = (self.t_ptr[p], self.t_ptr[p + 1]);
             let mut acc = z[j as usize];
             for (&i, &e) in self.t_row[lo..hi].iter().zip(&self.t_val[lo..hi]) {
-                acc -= self.l_val[e as usize] * z[i as usize];
+                let (v, zi) = (self.l_val[e as usize], z[i as usize]);
+                for l in 0..K {
+                    acc[l] -= v * zi[l];
+                }
             }
-            z[j as usize] = acc / self.diag[p];
+            z[j as usize] = acc.map(|a| a / self.diag[p]);
         }
     }
 }

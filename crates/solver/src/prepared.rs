@@ -4,6 +4,7 @@
 //! fan independent right-hand sides across a scoped worker pool. It is the
 //! only way to run CG.
 
+use crate::lockstep;
 use crate::precond::AppliedPreconditioner;
 use crate::stencil::{Operator, StencilGrid, StencilOperator};
 use crate::{CgSolution, CgSolver, CsrMatrix, Preconditioner, SolverError};
@@ -20,9 +21,9 @@ use std::sync::Arc;
 /// A `PreparedSystem` builds the preconditioner (including the IC(0)
 /// factorization) once, at construction, so each [`solve`](Self::solve)
 /// runs the bare CG iteration, and [`solve_batch`](Self::solve_batch) runs
-/// many right-hand sides concurrently with deterministic, input-ordered
-/// results. A solve runs to completion: it converges, or fails with a
-/// typed [`SolverError`].
+/// many right-hand sides at once (in lockstep lanes with IC(0)) with
+/// deterministic, input-ordered results. A solve runs to completion: it
+/// converges, or fails with a typed [`SolverError`].
 ///
 /// # Determinism
 ///
@@ -30,7 +31,8 @@ use std::sync::Arc;
 /// preconditioner, so every solve is independent of batch order and thread
 /// count: `solve_batch` returns bit-identical solutions for any `threads`,
 /// and each equals the corresponding sequential
-/// [`solve`](Self::solve)`(rhs, None)`.
+/// [`solve`](Self::solve)`(rhs, None)`; a lockstep lane does its member's
+/// arithmetic in the single solve's order.
 ///
 /// # Examples
 ///
@@ -155,9 +157,11 @@ impl PreparedSystem {
         })
     }
 
-    /// Sets how many right-hand sides [`solve_batch`](Self::solve_batch)
-    /// solves at once. A single [`solve`](Self::solve) always runs on the
-    /// calling thread. `0` is treated as `1`.
+    /// Sets how many worker threads [`solve_batch`](Self::solve_batch)
+    /// runs on. With IC(0) each worker solves four right-hand sides in
+    /// lockstep, so a batch of `n` uses at most ⌈n/4⌉ of them; otherwise
+    /// each worker solves one at a time. A single [`solve`](Self::solve)
+    /// always runs on the calling thread. `0` is treated as `1`.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -224,11 +228,13 @@ impl PreparedSystem {
             .solve_prepared(self.operator(), rhs, guess, &self.applied)
     }
 
-    /// Solves one independent right-hand side per entry of `rhs_batch`,
-    /// fanning the solves across up to [`threads`](Self::threads) scoped
-    /// worker threads. Each member is one cold solve on one thread and
-    /// results come back in input order, so the output is bit-identical
-    /// for every thread count.
+    /// Solves one independent right-hand side per entry of `rhs_batch`
+    /// on up to [`threads`](Self::threads) scoped worker threads, and
+    /// returns the results in input order. With IC(0), each worker runs
+    /// four right-hand sides in lockstep, so one pass over the operator
+    /// and the factor serves all four; otherwise each worker solves one
+    /// at a time. Either way every member is bit-identical to
+    /// [`solve`](Self::solve)`(rhs, None)`, at every thread count.
     ///
     /// # Errors
     ///
@@ -238,15 +244,29 @@ impl PreparedSystem {
         pi3d_telemetry::metrics::histogram("solver.prepared.batch_size")
             .record(rhs_batch.len() as u64);
         self.record_solve(rhs_batch.len() as u64);
-        parallel_map(rhs_batch, self.threads, |index, rhs| {
-            // One trace slice per right-hand side, so the batch fan-out
-            // renders as per-worker timelines in the flight recorder.
-            let _rhs_slice = pi3d_telemetry::trace::span_with("solver", || format!("rhs[{index}]"));
-            self.solver
-                .solve_prepared(self.operator(), rhs, None, &self.applied)
-        })
-        .into_iter()
-        .collect()
+        self.solve_members(rhs_batch).into_iter().collect()
+    }
+
+    /// Every member's outcome of a [`solve_batch`](Self::solve_batch),
+    /// in input order. IC(0) batches run in lockstep lanes (see
+    /// `lockstep.rs`); the other preconditioners solve one right-hand
+    /// side per worker at a time.
+    pub(crate) fn solve_members(
+        &self,
+        rhs_batch: &[Vec<f64>],
+    ) -> Vec<Result<CgSolution, SolverError>> {
+        match &self.applied {
+            AppliedPreconditioner::Ic0(ic) => lockstep::solve_batch(self, ic, rhs_batch),
+            _ => parallel_map(rhs_batch, self.threads, |index, rhs| {
+                // One trace slice per right-hand side, so the batch
+                // fan-out renders as per-worker timelines in the flight
+                // recorder.
+                let _rhs_slice =
+                    pi3d_telemetry::trace::span_with("solver", || format!("rhs[{index}]"));
+                self.solver
+                    .solve_prepared(self.operator(), rhs, None, &self.applied)
+            }),
+        }
     }
 
     /// Releases the handle, returning the wrapped matrix.

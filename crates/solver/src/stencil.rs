@@ -260,20 +260,24 @@ impl StencilOperator {
             })
             .collect()
     }
-}
 
-impl Operator for StencilOperator {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+    /// Computes `y = A·x` for `K` vectors at once, interleaved one
+    /// `[f64; K]` per row, so each stencil coefficient and extra is loaded
+    /// once for all of them. [`apply_into`](Operator::apply_into) is the
+    /// `K` = 1 instance, and every lane sums its row's terms in the same
+    /// order, so each lane is bit-identical to a single apply of it.
+    pub(crate) fn apply_lanes<const K: usize>(&self, x: &[[f64; K]], y: &mut [[f64; K]]) {
         assert_eq!(x.len(), self.dim);
         assert_eq!(y.len(), self.dim);
         static SPMV: std::sync::OnceLock<&'static pi3d_telemetry::Counter> =
             std::sync::OnceLock::new();
         SPMV.get_or_init(|| pi3d_telemetry::metrics::counter("solver.stencil.spmv"))
-            .incr(1);
+            .incr(K as u64);
+        let add = |acc: &mut [f64; K], v: f64, xc: &[f64; K]| {
+            for l in 0..K {
+                acc[l] += v * xc[l];
+            }
+        };
         // Per row, the in-grid stencil columns (`r−nx, r−1, r, r+1, r+nx`,
         // already ascending) all lie inside the row's grid while extras
         // lie strictly outside it, so the CSR row's ascending-column order
@@ -287,26 +291,34 @@ impl Operator for StencilOperator {
             for iy in 0..g.ny {
                 for ix in 0..g.nx {
                     let hi = self.extras_row_ptr[r + 1];
-                    let mut acc = 0.0;
+                    let mut acc = [0.0; K];
                     while e < hi && (self.extras_col[e] as usize) < g.base {
-                        acc += self.extras_val[e] * x[self.extras_col[e] as usize];
+                        add(
+                            &mut acc,
+                            self.extras_val[e],
+                            &x[self.extras_col[e] as usize],
+                        );
                         e += 1;
                     }
                     if iy > 0 {
-                        acc += g.y_edge * x[r - g.nx];
+                        add(&mut acc, g.y_edge, &x[r - g.nx]);
                     }
                     if ix > 0 {
-                        acc += g.x_edge * x[r - 1];
+                        add(&mut acc, g.x_edge, &x[r - 1]);
                     }
-                    acc += self.diag[r] * x[r];
+                    add(&mut acc, self.diag[r], &x[r]);
                     if ix + 1 < g.nx {
-                        acc += g.x_edge * x[r + 1];
+                        add(&mut acc, g.x_edge, &x[r + 1]);
                     }
                     if iy + 1 < g.ny {
-                        acc += g.y_edge * x[r + g.nx];
+                        add(&mut acc, g.y_edge, &x[r + g.nx]);
                     }
                     while e < hi {
-                        acc += self.extras_val[e] * x[self.extras_col[e] as usize];
+                        add(
+                            &mut acc,
+                            self.extras_val[e],
+                            &x[self.extras_col[e] as usize],
+                        );
                         e += 1;
                     }
                     y[r] = acc;
@@ -314,6 +326,16 @@ impl Operator for StencilOperator {
                 }
             }
         }
+    }
+}
+
+impl Operator for StencilOperator {
+    fn dim(&self) -> usize {
+        self.dim
+    }
+
+    fn apply_into(&self, x: &[f64], y: &mut [f64]) {
+        self.apply_lanes::<1>(x.as_chunks().0, y.as_chunks_mut().0);
     }
 
     fn diagonal(&self) -> Vec<f64> {
