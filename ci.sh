@@ -36,6 +36,11 @@ echo "examples OK"
 echo "==> cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "==> paper's 200,000-read stream: event loop vs reference stepper"
+# The one ignored test: too slow for every `cargo test`, but the only
+# run of both loops on the paper's full stream.
+cargo test -q --offline --test end_to_end -- --ignored
+
 echo "==> serve_chaos test binary x20 (stops at the first failing run)"
 # The chaos pipeline races four workers against one fault plan, so one
 # passing run proves little; a schedule-dependent failure shows up here.

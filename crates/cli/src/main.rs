@@ -577,10 +577,20 @@ fn lut_command(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 
 fn simulate(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let (design, options) = load_design_and_options(args)?;
+    // serve's rule: an IR constraint is a finite, positive millivolt
+    // count. Anything else could only stall the simulation.
     let constraint = MilliVolts(match args.flag("constraint") {
-        Some(c) => c
-            .parse()
-            .map_err(|_| format!("--constraint must be a number of mV, got {c}"))?,
+        Some(c) => {
+            let mv: f64 = c
+                .parse()
+                .map_err(|_| format!("--constraint must be a number of mV, got {c}"))?;
+            if !(mv.is_finite() && mv > 0.0) {
+                return Err(
+                    format!("--constraint must be a positive number of mV, got {c}").into(),
+                );
+            }
+            mv
+        }
         None => 24.0,
     });
     let policies: Vec<ReadPolicy> = match args.flag("policy").unwrap_or("distr") {

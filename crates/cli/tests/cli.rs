@@ -157,14 +157,15 @@ fn flag_without_a_value_is_a_usage_error() {
 /// A malformed or out-of-range number fails at once, naming its flag.
 /// `optimize --alpha 7` used to characterize the whole design space
 /// first and then panic; `simulate --reads 0` built the LUT and then
-/// panicked generating an empty workload.
+/// panicked generating an empty workload; `simulate --constraint` of
+/// `nan`, `0` or `-5` built the LUT and simulated to the stall horizon.
 #[test]
 fn bad_numbers_fail_early_naming_the_flag() {
     let dir = Scratch::new("bad_numbers_fail_early_naming_the_flag");
     let cfg = write_config(&dir, "numbers.cfg", "benchmark = ddr3-off\n");
     let cfg = cfg.to_str().unwrap();
     let optimize = ["optimize", "ddr3-off", "--grid", "4", "--threads", "1"];
-    let cases: [(&[&str], &[&str], &str); 11] = [
+    let cases: [(&[&str], &[&str], &str); 14] = [
         (&optimize, &["--alpha", "7"], "--alpha must be in [0, 1]"),
         (&optimize, &["--alpha", "nan"], "--alpha must be in [0, 1]"),
         (
@@ -181,6 +182,21 @@ fn bad_numbers_fail_early_naming_the_flag() {
             &["simulate", cfg],
             &["--constraint", "abc"],
             "--constraint must be a number of mV, got abc",
+        ),
+        (
+            &["simulate", cfg],
+            &["--constraint", "nan"],
+            "--constraint must be a positive number of mV, got nan",
+        ),
+        (
+            &["simulate", cfg],
+            &["--constraint", "0"],
+            "--constraint must be a positive number of mV, got 0",
+        ),
+        (
+            &["simulate", cfg],
+            &["--constraint", "-5"],
+            "--constraint must be a positive number of mV, got -5",
         ),
         (
             &["simulate", cfg],
@@ -399,6 +415,73 @@ fn lut_roundtrip_feeds_simulate() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("runtime"), "{stdout}");
     assert!(stdout.contains("max IR"), "{stdout}");
+}
+
+/// A trace request for a die, bank or channel the stack does not have
+/// fails before anything is simulated, naming the request and the field.
+/// On the one-channel, 4 × 8-bank ddr3-off stack these used to run bank
+/// 9 on die 1's bank 1, run channel 1 on the one channel (FCFS) or stall
+/// (DistR), and panic with a backtrace on die 4.
+#[test]
+fn simulate_rejects_trace_requests_outside_the_stack() {
+    let dir = Scratch::new("simulate_rejects_trace_requests_outside_the_stack");
+    let cfg = write_config(&dir, "stack.cfg", "benchmark = ddr3-off\n");
+    let lut_path = dir.join("stack.lut");
+    let out = pi3d(&[
+        "lut",
+        cfg.to_str().unwrap(),
+        "--out",
+        lut_path.to_str().unwrap(),
+        "--grid",
+        "8",
+    ]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // 200 requests, each `arrival die bank row channel`, with one field
+    // out of range in every line.
+    let traces = [
+        ("bank", "bank 9, but the simulated stack has banks 0..8"),
+        (
+            "channel",
+            "channel 1, but the simulated stack has channels 0..1",
+        ),
+        ("die", "die 4, but the simulated stack has dies 0..4"),
+    ];
+    for (field, want) in traces {
+        let trace = dir.join(format!("{field}.trace"));
+        let mut body = String::new();
+        for i in 0..200u64 {
+            let (die, bank, channel) = match field {
+                "bank" => (i % 4, 9, 0),
+                "channel" => (i % 4, i % 8, 1),
+                _ => (4, i % 8, 0),
+            };
+            body += &format!("{} {die} {bank} {} {channel}\n", i * 5, i % 32);
+        }
+        fs::write(&trace, body).expect("trace written");
+        for policy in ["fcfs", "distr"] {
+            let out = pi3d(&[
+                "simulate",
+                cfg.to_str().unwrap(),
+                "--lut",
+                lut_path.to_str().unwrap(),
+                "--trace",
+                trace.to_str().unwrap(),
+                "--policy",
+                policy,
+            ]);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{field} {policy}: {stderr}");
+            assert!(
+                stderr.contains(&format!("request 0 targets {want}")),
+                "{field} {policy}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{field} {policy}: {stderr}");
+        }
+    }
 }
 
 /// The fault sweep's policy stage sizes its simulator from the design,

@@ -136,60 +136,9 @@ impl Bank {
         };
     }
 
-    /// Lazy-tick variant of [`Bank::can_read`]: whether a read of `row`
-    /// can issue at `cycle`, resolving a finished activation that has not
-    /// been promoted by [`Bank::tick`] yet.
-    ///
-    /// The event-driven scheduler does not tick every bank every cycle;
-    /// these `_at` predicates answer exactly what the ticked bank would,
-    /// so a bank only needs a real [`Bank::tick`] right before a mutation
-    /// (whose assertions consult the stored phase).
-    pub fn can_read_at(&self, cycle: u64, row: u32) -> bool {
-        match self.phase {
-            BankPhase::Active { row: open } => open == row,
-            BankPhase::Activating {
-                row: open,
-                ready_at,
-            } => open == row && cycle >= ready_at,
-            _ => false,
-        }
-    }
-
-    /// Lazy-tick variant of [`Bank::can_activate`].
-    pub fn can_activate_at(&self, cycle: u64) -> bool {
-        match self.phase {
-            BankPhase::Idle => true,
-            BankPhase::Precharging { idle_at } => cycle >= idle_at,
-            _ => false,
-        }
-    }
-
-    /// Lazy-tick variant of [`Bank::can_precharge`].
-    pub fn can_precharge_at(&self, cycle: u64) -> bool {
-        let active = match self.phase {
-            BankPhase::Active { .. } => true,
-            BankPhase::Activating { ready_at, .. } => cycle >= ready_at,
-            _ => false,
-        };
-        active && cycle >= self.ras_done
-    }
-
     /// Cycles since the last read/activate (for auto-close).
     pub fn idle_for(&self, cycle: u64) -> u64 {
         cycle.saturating_sub(self.last_use)
-    }
-
-    /// Earliest cycle a precharge may issue (tRAS from the last activate).
-    ///
-    /// Used by the event-driven scheduler to predict when an open bank
-    /// becomes closeable without ticking every intermediate cycle.
-    pub fn ras_ready_at(&self) -> u64 {
-        self.ras_done
-    }
-
-    /// Cycle of the most recent read or activate command.
-    pub fn last_use_at(&self) -> u64 {
-        self.last_use
     }
 }
 

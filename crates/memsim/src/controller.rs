@@ -1,12 +1,11 @@
 use crate::admission::AdmissionCache;
-use crate::bank::{Bank, BankPhase};
 use crate::lut::IrDropLut;
 use crate::policy::{IrPolicy, ReadPolicy, SchedulingPolicy};
 use crate::request::ReadRequest;
 use crate::stats::SimStats;
 use crate::timing::TimingParams;
 use pi3d_layout::units::MilliVolts;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 
@@ -140,6 +139,19 @@ pub enum SimulateError {
         /// Statistics over the simulated prefix of the run.
         partial: Box<SimStats>,
     },
+    /// A request names a die, bank or channel the simulated stack does
+    /// not have; [`MemorySimulator::run`] checks every request before it
+    /// simulates anything.
+    RequestOutOfRange {
+        /// Id of the first such request.
+        id: u64,
+        /// The field out of range: `"die"`, `"bank"` or `"channel"`.
+        field: &'static str,
+        /// The value the request gives.
+        value: usize,
+        /// The stack's dies, banks per die or channels.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for SimulateError {
@@ -169,6 +181,16 @@ impl fmt::Display for SimulateError {
             } => write!(
                 f,
                 "simulation cancelled at cycle {cycle} with {completed} requests completed"
+            ),
+            SimulateError::RequestOutOfRange {
+                id,
+                field,
+                value,
+                limit,
+            } => write!(
+                f,
+                "request {id} targets {field} {value}, but the simulated stack has \
+                 {field}s 0..{limit}"
             ),
         }
     }
@@ -266,15 +288,20 @@ impl ActivityWindow {
         }
     }
 
-    pub(crate) fn prune(&mut self, cycle: u64) {
+    /// Drops the reads that have left the window by `cycle`; returns the
+    /// mask of dies whose busy count fell.
+    pub(crate) fn prune(&mut self, cycle: u64) -> u32 {
+        let mut dies = 0;
         while let Some(&(c, die, data)) = self.events.front() {
             if c + self.window <= cycle {
                 self.busy[die] -= data as u64;
                 self.events.pop_front();
+                dies |= 1 << die;
             } else {
                 break;
             }
         }
+        dies
     }
 
     pub(crate) fn record(&mut self, cycle: u64, die: usize, data_cycles: u32) {
@@ -312,6 +339,259 @@ impl ActivityWindow {
     /// next moment any busy count can decrease).
     pub(crate) fn next_expiry(&self) -> Option<u64> {
         self.events.front().map(|&(c, _, _)| c + self.window)
+    }
+}
+
+/// Row value of a closed bank in [`BankSlot::open`]: wider than any `u32`
+/// row, so no request matches it.
+const CLOSED: u64 = u64::MAX;
+
+/// The event loop's state of one bank: the cycle from which each command
+/// class is legal, and how many queued requests want the bank and its
+/// open row. It changes only at arrivals and commands, so a candidate is
+/// classified by two compares, step 4 reads one close time, and the
+/// wakeup search reads timers instead of re-deriving them (DESIGN §12).
+#[derive(Debug, Clone, Copy)]
+struct BankSlot {
+    /// The open (or opening) row; [`CLOSED`] if none.
+    open: u64,
+    /// First cycle a read of the open row may issue (tRCD); `u64::MAX`
+    /// while closed.
+    read_from: u64,
+    /// First cycle the command any other request needs may issue: with a
+    /// row open, a precharge (the later of `read_from` and tRAS); closed,
+    /// an activate (tRP after the precharge).
+    next_from: u64,
+    /// The cycle step 4 closes the open row: the later of the first
+    /// precharge cycle and `last_use` plus `idle_close` (or `starve`
+    /// while a queued request wants the row). `u64::MAX` while closed.
+    close_at: u64,
+    /// Cycle of the last activate or read.
+    last_use: u64,
+    /// Id of the request whose activate opened the row: its read is the
+    /// bank's one read per activate that is not a row hit. Every read
+    /// follows an activate, so the initial value is never compared.
+    act_for: u64,
+    /// Queued requests that target the bank.
+    queued: u32,
+    /// Queued requests that target its open row.
+    want: u32,
+}
+
+/// A queued request as the event loop keeps it; its channel is the list
+/// it sits in.
+#[derive(Debug, Clone, Copy)]
+struct Queued {
+    id: u64,
+    arrival: u64,
+    row: u32,
+    /// Die-major bank index, `die * banks_per_die + bank`.
+    bank: u32,
+    die: u16,
+    /// The bank within its die.
+    local: u16,
+}
+
+/// The command a candidate needs, in the order of [`BankTable::candidate`]'s
+/// gates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    Read,
+    Precharge,
+    Activate,
+}
+
+/// Every bank's [`BankSlot`] (die-major), the per-die masks the loop
+/// walks instead of all banks, and the per-die powered counts in vector
+/// and nibble-packed form, all updated at the three commands.
+#[derive(Debug)]
+struct BankTable {
+    slots: Vec<BankSlot>,
+    /// Per die, the banks with a row open or opening.
+    open: Vec<u32>,
+    /// Per die, the banks precharged whose tRP may not have passed; the
+    /// wakeup search clears a bit once it has.
+    precharging: Vec<u32>,
+    powered: Vec<u8>,
+    powered_key: u64,
+    /// The dies at the powered-bank cap.
+    at_cap: u32,
+    cap: u8,
+    bpd: usize,
+    // Timing in cycles. A command's effect on its bank shows from the
+    // next cycle on, as when the reference next ticks it, so tRCD and tRP
+    // count at least one.
+    t_rcd: u64,
+    t_ras: u64,
+    t_rp: u64,
+    idle_close: u64,
+    /// A wanted row still closes after this long idle, so a narrow
+    /// reorder window cannot pin the die's bank budget forever.
+    starve: u64,
+}
+
+impl BankTable {
+    fn new(dies: usize, bpd: usize, cap: usize, t: &TimingParams) -> Self {
+        let idle = BankSlot {
+            open: CLOSED,
+            read_from: u64::MAX,
+            next_from: 0,
+            close_at: u64::MAX,
+            last_use: 0,
+            act_for: u64::MAX,
+            queued: 0,
+            want: 0,
+        };
+        BankTable {
+            slots: vec![idle; dies * bpd],
+            open: vec![0; dies],
+            precharging: vec![0; dies],
+            powered: vec![0; dies],
+            powered_key: 0,
+            at_cap: 0,
+            cap: cap as u8,
+            bpd,
+            t_rcd: t.t_rcd.max(1) as u64,
+            t_ras: t.t_ras as u64,
+            t_rp: t.t_rp.max(1) as u64,
+            idle_close: t.idle_close as u64,
+            starve: (8 * t.idle_close).max(t.t_ras) as u64,
+        }
+    }
+
+    /// Recomputes bank `b`'s close time after its last use or its wanted
+    /// count changed.
+    fn reclose(&mut self, b: usize) {
+        let s = &mut self.slots[b];
+        let hold = if s.want > 0 {
+            self.starve
+        } else {
+            self.idle_close
+        };
+        s.close_at = s.next_from.max(s.last_use + hold);
+    }
+
+    /// Counts an arriving request against its bank; returns whether it
+    /// hits the open row.
+    fn arrive(&mut self, q: &Queued) -> bool {
+        let b = q.bank as usize;
+        let s = &mut self.slots[b];
+        s.queued += 1;
+        let hit = u64::from(q.row) == s.open;
+        if hit {
+            s.want += 1;
+            if s.want == 1 {
+                self.reclose(b);
+            }
+        }
+        hit
+    }
+
+    /// Issues `q`'s read; returns whether it is a row hit.
+    fn read(&mut self, q: &Queued, cycle: u64) -> bool {
+        let b = q.bank as usize;
+        let s = &mut self.slots[b];
+        s.last_use = cycle;
+        s.queued -= 1;
+        s.want -= 1;
+        let hit = s.act_for != q.id;
+        self.reclose(b);
+        hit
+    }
+
+    /// Opens `q`'s row, which `want` queued requests (`q` included) hit.
+    fn activate(&mut self, q: &Queued, want: u32, cycle: u64) {
+        let b = q.bank as usize;
+        let die = q.die as usize;
+        let s = &mut self.slots[b];
+        s.open = u64::from(q.row);
+        s.read_from = cycle + self.t_rcd;
+        s.next_from = s.read_from.max(cycle + self.t_ras);
+        s.last_use = cycle;
+        s.act_for = q.id;
+        s.want = want;
+        self.reclose(b);
+        self.open[die] |= 1 << q.local;
+        self.precharging[die] &= !(1 << q.local);
+        self.powered[die] += 1;
+        self.powered_key += 1 << (4 * die);
+        if self.powered[die] >= self.cap {
+            self.at_cap |= 1 << die;
+        }
+    }
+
+    /// Closes bank `bank` of `die`.
+    fn precharge(&mut self, die: usize, bank: usize, cycle: u64) {
+        let s = &mut self.slots[die * self.bpd + bank];
+        s.open = CLOSED;
+        s.read_from = u64::MAX;
+        s.next_from = cycle + self.t_rp;
+        s.close_at = u64::MAX;
+        s.want = 0;
+        self.open[die] &= !(1 << bank);
+        self.precharging[die] |= 1 << bank;
+        self.powered[die] -= 1;
+        self.powered_key -= 1 << (4 * die);
+        self.at_cap &= !(1 << die);
+    }
+
+    /// `q`'s command, and whether it may issue at `at`: its bank's timer
+    /// for that command has come, and `gates`, per-die masks of the dies
+    /// whose reads, precharges and activates may not issue (indexed by
+    /// [`Cmd`]), leave its die open.
+    fn candidate(&self, q: &Queued, at: u64, gates: [u32; 3]) -> (Cmd, bool) {
+        let s = &self.slots[q.bank as usize];
+        let (cmd, from) = if u64::from(q.row) == s.open {
+            (Cmd::Read, s.read_from)
+        } else if s.open != CLOSED {
+            (Cmd::Precharge, s.next_from)
+        } else {
+            (Cmd::Activate, s.next_from)
+        };
+        (cmd, at >= from && gates[cmd as usize] & (1 << q.die) == 0)
+    }
+
+    /// Whether every bank of `die` could activate at `cycle` (refresh
+    /// waits for that).
+    fn die_idle(&self, die: usize, cycle: u64) -> bool {
+        self.slots[die * self.bpd..(die + 1) * self.bpd]
+            .iter()
+            .all(|s| s.open == CLOSED && s.next_from <= cycle)
+    }
+}
+
+/// Takes the queued requests that hit bank `b`'s open row off their
+/// channels' waiting-read counts, before the bank closes.
+fn unwant(queues: &[Vec<Queued>], waiting: &mut [u32], slot: &BankSlot, b: usize) {
+    if slot.want == 0 {
+        return;
+    }
+    for (ch, list) in queues.iter().enumerate() {
+        waiting[ch] -= list
+            .iter()
+            .filter(|q| q.bank as usize == b && u64::from(q.row) == slot.open)
+            .count() as u32;
+    }
+}
+
+/// Retires the in-flight reads that complete before `bound`.
+fn retire_before(
+    in_flight: &mut VecDeque<(u64, u64)>,
+    bound: u64,
+    completed: &mut u64,
+    latency_sum: &mut f64,
+    last_data_end: &mut u64,
+    last_progress_cycle: &mut u64,
+) {
+    while let Some(&(done, arrival)) = in_flight.front() {
+        if done >= bound {
+            break;
+        }
+        in_flight.pop_front();
+        *completed += 1;
+        *latency_sum += (done - arrival) as f64;
+        *last_data_end = (*last_data_end).max(done);
+        *last_progress_cycle = (*last_progress_cycle).max(done);
     }
 }
 
@@ -367,14 +647,17 @@ impl MemorySimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`SimulateError::Stalled`] if no forward progress is
+    /// Returns [`SimulateError::RequestOutOfRange`] before simulating
+    /// anything if a request names a die, bank or channel the stack does
+    /// not have, and [`SimulateError::Stalled`] if no forward progress is
     /// possible (an over-tight IR constraint), with a snapshot of the
     /// blocking state.
     pub fn run(&self, requests: &[ReadRequest]) -> Result<SimStats, SimulateError> {
         let _span = pi3d_telemetry::span::span("memsim_run");
         let t = &self.timing;
         let cfg = &self.config;
-        // The event loop packs per-die powered counts into u64 nibbles.
+        // The event loop packs per-die powered counts into u64 nibbles, and
+        // a die's banks and the stack's dies into u32 masks.
         assert!(cfg.dies <= 16, "event scheduler supports at most 16 dies");
         assert!(
             cfg.banks_per_die <= 32,
@@ -384,20 +667,27 @@ impl MemorySimulator {
             cfg.max_powered_per_die < 16,
             "per-die powered-bank cap must fit a nibble"
         );
-        // The scheduler admits requests in slice order and keeps the queue
-        // in admission order, standing in for the reference's sort by id —
-        // valid only if ids are strictly increasing (as `WorkloadSpec` and
-        // `parse_trace` both guarantee).
+        // The scheduler admits requests in slice order and keeps each
+        // channel's queue in admission order, standing in for the
+        // reference's sort by id — valid only if ids are strictly
+        // increasing (as `WorkloadSpec` and `parse_trace` both guarantee).
         assert!(
             requests.windows(2).all(|w| w[0].id < w[1].id),
             "request ids must be strictly increasing in slice order"
         );
+        self.check_requests(requests)?;
         let n = requests.len() as u64;
 
-        // All banks in one array, die-major: bank `b` of die `d` is
-        // `banks[d * bpd + b]`.
         let bpd = cfg.banks_per_die;
-        let mut banks: Vec<Bank> = vec![Bank::new(); cfg.dies * bpd];
+        let mut banks = BankTable::new(cfg.dies, bpd, cfg.max_powered_per_die, t);
+        // The queue, one list per channel, each in admission (= id) order.
+        let mut queues: Vec<Vec<Queued>> = (0..cfg.channels)
+            .map(|_| Vec::with_capacity(cfg.queue_capacity))
+            .collect();
+        let mut queued: usize = 0;
+        // Per channel, the queued requests that hit their bank's open (or
+        // opening) row: the reads that wait on the channel's spacing.
+        let mut waiting: Vec<u32> = vec![0; cfg.channels];
         let mut channels: Vec<ChannelState> = (0..cfg.channels)
             .map(|_| ChannelState {
                 last_read_cmd: None,
@@ -405,7 +695,6 @@ impl MemorySimulator {
                 last_act: None,
             })
             .collect();
-        let mut queue: Vec<ReadRequest> = Vec::with_capacity(cfg.queue_capacity);
         // Activity window: a few row cycles long, so throttling reacts on
         // the same timescale banks open and close.
         let mut activity = ActivityWindow::new(cfg.dies, 2 * t.t_faw.max(32) as u64);
@@ -420,8 +709,9 @@ impl MemorySimulator {
         let mut max_refreshing_until: u64 = 0;
         let mut refreshes: u64 = 0;
         let mut next_arrival = 0usize;
-        let mut in_flight: Vec<(u64, ReadRequest)> = Vec::new();
-        let mut act_for: HashMap<(usize, usize), u64> = HashMap::new();
+        // In-flight reads as (data done, arrival). Every read takes the
+        // same tCL + burst, so they complete in issue order.
+        let mut in_flight: VecDeque<(u64, u64)> = VecDeque::new();
 
         let mut cycle: u64 = 0;
         let mut completed: u64 = 0;
@@ -435,38 +725,12 @@ impl MemorySimulator {
         let mut max_ir = MilliVolts(0.0);
         let mut last_progress_cycle: u64 = 0;
 
-        // Incremental mirror of the per-die powered-bank counts, kept in
-        // both vector and nibble-packed form; updated at the only two
-        // mutation points (activate, precharge) so no cycle rescans banks.
-        let mut powered: Vec<u8> = vec![0; cfg.dies];
-        let mut powered_key: u64 = 0;
         let mut cache = AdmissionCache::new(cfg.dies, activity.window, t.data_cycles());
-        // Reused scheduling scratch (the reference allocates per cycle):
-        // the queue indices in order (a one-channel stack's candidates),
-        // each channel's queue indices on a multi-channel stack, DistR's
-        // priority order, and the queue indices of this cycle's reads.
-        let all_indices: Vec<usize> = (0..cfg.queue_capacity).collect();
-        let mut channel_candidates: Vec<Vec<usize>> = vec![Vec::new(); cfg.channels];
-        let mut distr_order: Vec<usize> = Vec::new();
-        let mut issued_reads: Vec<usize> = Vec::with_capacity(cfg.channels);
-        // Per-die admission memos (see step 5).
-        let mut read_ok: Vec<Option<bool>> = vec![None; cfg.dies];
-        let mut act_ok: Vec<Option<bool>> = vec![None; cfg.dies];
-        // Per-die refresh gate scratch (filled per cycle when refresh is
-        // enabled; permanently false otherwise).
-        let mut die_refreshing: Vec<bool> = vec![false; cfg.dies];
-        let mut die_refresh_pending: Vec<bool> = vec![false; cfg.dies];
-        // Per-die bitmask of banks with a row open (or opening); mirrors
-        // `powered` bank-by-bank so the auto-close pass visits only open
-        // banks instead of every bank slot.
-        let mut open_mask: Vec<u32> = vec![0; cfg.dies];
-        // Banks with a precharge (possibly long finished) in flight; bits
-        // are set at precharge and cleared lazily by the candidate scan,
-        // so `open | precharging` covers every bank that can still owe a
-        // timing candidate.
-        let mut precharging_mask: Vec<u32> = vec![0; cfg.dies];
-        // DistR priority buckets, one per powered level, reused per cycle.
-        let mut level_bufs: Vec<Vec<usize>> = vec![Vec::new(); cfg.max_powered_per_die + 1];
+        // DistR's priority order of one channel's list, reused per cycle.
+        let mut order: Vec<u32> = Vec::with_capacity(cfg.queue_capacity);
+        // No open bank closes before this cycle (a lower bound; step 4
+        // runs only once it has come).
+        let mut next_close = u64::MAX;
         // Step-6 memo: the (effective state, busy window) pair repeats for
         // runs of cycles; `max` is idempotent, so re-looking it up is
         // pure waste.
@@ -476,9 +740,11 @@ impl MemorySimulator {
 
         let stall_horizon = t.stall_horizon();
         let spacing = t.t_ccd.max(t.data_cycles()) as u64;
-        let idle_close = t.idle_close as u64;
-        let starve = (8 * t.idle_close).max(t.t_ras) as u64;
+        let read_latency = t.t_cl as u64 + t.data_cycles() as u64;
         let standard = matches!(self.policy.ir, IrPolicy::Standard);
+        let distr = matches!(self.policy.scheduling, SchedulingPolicy::DistributedRead);
+        let window = self.policy.reorder_window();
+        let cap = cfg.max_powered_per_die as u8;
 
         // Flight-recorder view of the event loop: one `events[a..b)`
         // slice per block of simulated events plus counter tracks
@@ -555,14 +821,14 @@ impl MemorySimulator {
                         simulated_cycles + EVENT_TRACE_BLOCK
                     )
                 });
-                trace::counter("memsim", "queue_depth", queue.len() as f64);
+                trace::counter("memsim", "queue_depth", queued as f64);
                 trace::counter("memsim", "completed", completed as f64);
                 trace::counter("memsim", "admission_cache_hits", cache.hits as f64);
                 trace::counter("memsim", "admission_cache_misses", cache.misses as f64);
             }
-            // Set when this cycle mutates scheduler-visible state in a way
-            // whose follow-on consequences are not covered by a timing
-            // candidate below; forces the next cycle to be simulated.
+            // Set when a candidate this cycle's issue masked may issue next
+            // cycle with no timer to announce it (see step 5); forces the
+            // next cycle to be simulated.
             let mut changed = false;
             activity.prune(cycle);
             // tFAW history older than the window can never pass the
@@ -582,44 +848,52 @@ impl MemorySimulator {
                 }
             }
 
-            // 1. Bank state machines advance lazily: the `_at` predicates
-            // below resolve finished activations/precharges on the fly,
-            // and a real `tick` runs only right before a mutation. Ticking
-            // all banks every cycle is the reference's job.
+            // 1. Bank state needs no per-cycle advance: each `BankSlot`
+            // holds the cycle from which each command class is legal.
 
-            // 2. Retire finished data transfers.
-            let mut i = 0;
-            while i < in_flight.len() {
-                if in_flight[i].0 <= cycle {
-                    let (done, req) = in_flight.swap_remove(i);
-                    completed += 1;
-                    latency_sum += (done - req.arrival) as f64;
-                    last_data_end = last_data_end.max(done);
-                    last_progress_cycle = cycle;
-                } else {
-                    i += 1;
-                }
-            }
+            // 2. Retire finished data transfers (all of them finish this
+            // cycle: earlier ones retired before the jump here).
+            retire_before(
+                &mut in_flight,
+                cycle + 1,
+                &mut completed,
+                &mut latency_sum,
+                &mut last_data_end,
+                &mut last_progress_cycle,
+            );
 
             // 3. Accept arrivals into the bounded queue.
             while next_arrival < requests.len()
                 && requests[next_arrival].arrival <= cycle
-                && queue.len() < cfg.queue_capacity
+                && queued < cfg.queue_capacity
             {
-                queue.push(requests[next_arrival]);
+                let r = &requests[next_arrival];
+                let q = Queued {
+                    id: r.id,
+                    arrival: r.arrival,
+                    row: r.row,
+                    bank: (r.die * bpd + r.bank) as u32,
+                    die: r.die as u16,
+                    local: r.bank as u16,
+                };
+                if banks.arrive(&q) {
+                    waiting[r.channel] += 1;
+                }
+                queues[r.channel].push(q);
+                queued += 1;
                 next_arrival += 1;
             }
 
             // 3b. Refresh (extension): when a die's refresh is due, stop
             // activating it; once its banks drain, run an all-bank refresh
             // for tRFC cycles (staggered across dies at construction).
+            let mut refreshing = 0u32;
+            let mut refresh_pending = 0u32;
             if t.t_refi > 0 {
                 for die in 0..cfg.dies {
                     if cycle >= refresh_due[die]
                         && cycle >= refreshing_until[die]
-                        && banks[die * bpd..(die + 1) * bpd]
-                            .iter()
-                            .all(|b| b.can_activate_at(cycle))
+                        && banks.die_idle(die, cycle)
                     {
                         refreshing_until[die] = cycle + t.t_rfc as u64;
                         max_refreshing_until = max_refreshing_until.max(refreshing_until[die]);
@@ -629,116 +903,96 @@ impl MemorySimulator {
                         changed = true;
                         pi3d_telemetry::trace::instant("memsim", "refresh");
                     }
-                }
-            }
-
-            // 4. IR-drop-motivated auto-close of banks nobody wants. The
-            // cheap idle/tRAS gates come first so the O(queue) wanted-scan
-            // only runs for banks actually eligible to close (`starve` is
-            // always >= `idle_close`, so `idle < idle_close` rules out both
-            // arms).
-            for die in 0..cfg.dies {
-                let mut m = open_mask[die];
-                while m != 0 {
-                    let bk = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let bank = &banks[die * bpd + bk];
-                    let open = bank.open_row().expect("open-mask bank has a row");
-                    let idle = bank.idle_for(cycle);
-                    if idle < idle_close || !bank.can_precharge_at(cycle) {
-                        continue;
+                    // Per-die refresh gates for the candidate scan.
+                    if cycle < refreshing_until[die] {
+                        refreshing |= 1 << die;
                     }
-                    // A row nobody wants closes after `idle_close`; a
-                    // wanted row still closes after a long starvation
-                    // period so a narrow reorder window cannot pin the
-                    // die's bank budget forever.
-                    let wanted = queue
-                        .iter()
-                        .any(|r| r.die == die && r.bank == bk && r.row == open);
-                    if !wanted || idle >= starve {
-                        banks[die * bpd + bk].tick(cycle);
-                        banks[die * bpd + bk].precharge(cycle, t.t_rp);
-                        open_mask[die] &= !(1 << bk);
-                        precharging_mask[die] |= 1 << bk;
-                        powered[die] -= 1;
-                        powered_key -= 1 << (4 * die);
-                        precharges += 1;
-                        changed = true;
+                    if cycle >= refresh_due[die] {
+                        refresh_pending |= 1 << die;
                     }
                 }
             }
 
-            // Per-die refresh gates, hoisted so the candidate scan reads a
-            // bool instead of re-deriving both comparisons per request.
-            if t.t_refi > 0 {
+            // 4. IR-drop-motivated auto-close of banks nobody wants. Each
+            // open bank carries the cycle it closes at (`BankSlot::close_at`),
+            // so this runs only once the earliest of them has come.
+            if cycle >= next_close {
+                next_close = u64::MAX;
                 for die in 0..cfg.dies {
-                    die_refreshing[die] = cycle < refreshing_until[die];
-                    die_refresh_pending[die] = cycle >= refresh_due[die];
-                }
-            }
-
-            // 5. Issue at most one command per channel. The queue is kept
-            // in admission (= id) order. A one-channel stack takes the
-            // whole queue as its candidates; a multi-channel stack splits
-            // it in one pass into per-channel lists, each in id order. So
-            // FCFS priority needs no sort at all, and DistR's (powered,
-            // id) priority falls out of a counting pass per powered level
-            // over the channel's candidates — each level collects in id
-            // order, matching the reference's stable comparator sort.
-            // Issued reads leave the queue after the last channel, so the
-            // indices stay valid throughout; channels never share a
-            // request, so none sees another's issued read.
-            if cfg.channels > 1 {
-                for list in channel_candidates.iter_mut() {
-                    list.clear();
-                }
-                for (i, req) in queue.iter().enumerate() {
-                    if let Some(list) = channel_candidates.get_mut(req.channel) {
-                        list.push(i);
+                    let mut m = banks.open[die];
+                    while m != 0 {
+                        let bk = m.trailing_zeros() as usize;
+                        m &= m - 1;
+                        let b = die * bpd + bk;
+                        let close_at = banks.slots[b].close_at;
+                        if close_at <= cycle {
+                            unwant(&queues, &mut waiting, &banks.slots[b], b);
+                            banks.precharge(die, bk, cycle);
+                            precharges += 1;
+                        } else {
+                            next_close = next_close.min(close_at);
+                        }
                     }
                 }
             }
-            issued_reads.clear();
+
+            // 5. Issue at most one command per channel, scanning each
+            // channel's list in priority order: FCFS is the list itself;
+            // DistR's (powered, id) order is a counting sort of the list by
+            // its dies' powered counts, each level in id order, matching
+            // the reference's stable comparator sort.
+            //
+            // A candidate's command follows from its bank: a read if it
+            // hits the open row, a precharge if another row is open, else
+            // an activate; it may issue once the bank's `read_from`
+            // (hit) or `next_from` (miss) has come and no per-die gate
+            // blocks its command. Only a candidate past both checks reaches
+            // the admission memos.
+            //
             // Admission memos: `read_allowed`/`activate_allowed` depend
             // only on the die (and, for the standard policy's tRRD/tFAW,
             // the channel), so one verdict per die serves every candidate
-            // until a command issues and changes the state they read.
-            read_ok.fill(None);
-            act_ok.fill(None);
+            // until a command issues and changes the state they read. A
+            // die's bit in `*_known` says its verdict is cached, its bit in
+            // `*_yes` what it is. `refused_*` collect the dies whose
+            // timing-ready candidates admission turned down this cycle.
+            let mut read_known = 0u32;
+            let mut read_yes = 0u32;
+            let mut act_known = 0u32;
+            let mut act_yes = 0u32;
+            let mut refused_read = 0u32;
+            let mut refused_act = 0u32;
             let mut issued_this_cycle = false;
+            let mut precharged = false;
+            // Whether a masked candidate was left waiting on an admission
+            // refusal or on its die's bank cap (see below).
+            let mut deferred = false;
             for ch in 0..cfg.channels {
-                let candidates = if cfg.channels == 1 {
-                    &all_indices[..queue.len()]
-                } else {
-                    &channel_candidates[ch][..]
-                };
-                if candidates.is_empty() {
+                let list = &queues[ch];
+                if list.is_empty() {
                     continue;
                 }
-                let order = match self.policy.scheduling {
-                    SchedulingPolicy::Fcfs => candidates,
-                    SchedulingPolicy::DistributedRead => {
-                        // Single bucketed pass (admission caps powered
-                        // counts at `max_powered_per_die`, so the levels
-                        // are exhaustive).
-                        for buf in level_bufs.iter_mut() {
-                            buf.clear();
-                        }
-                        for &i in candidates {
-                            if queue[i].channel == ch {
-                                level_bufs[powered[queue[i].die] as usize].push(i);
-                            }
-                        }
-                        distr_order.clear();
-                        for buf in level_bufs.iter() {
-                            distr_order.extend_from_slice(buf);
-                        }
-                        &distr_order[..]
+                let eligible = list.len();
+                let considered = eligible.min(window);
+                if distr {
+                    // Level l's slots start at `start[l]` (powered counts
+                    // stay below 16).
+                    let mut start = [0u32; 17];
+                    for q in list {
+                        start[banks.powered[q.die as usize] as usize + 1] += 1;
                     }
-                };
-                let eligible = order.len();
-                let order = &order[..eligible.min(self.policy.reorder_window())];
-
+                    for level in 1..=cap as usize {
+                        start[level] += start[level - 1];
+                    }
+                    order.clear();
+                    order.resize(eligible, 0);
+                    for (i, q) in list.iter().enumerate() {
+                        let level = banks.powered[q.die as usize] as usize;
+                        order[start[level] as usize] = i as u32;
+                        start[level] += 1;
+                    }
+                }
+                let position = |k: usize| if distr { order[k] as usize } else { k };
                 // Data-bus spacing (tCCD and burst occupancy) is a
                 // channel-level property, hoisted out of the candidate
                 // scan.
@@ -746,118 +1000,178 @@ impl MemorySimulator {
                     .last_read_cmd
                     .is_none_or(|last| cycle >= last + spacing);
                 if standard {
-                    act_ok.fill(None);
+                    act_known = 0;
                 }
+                // Per-die gates: a read waits on spacing or a refusal, an
+                // activate on a refusal or a pending refresh, everything
+                // on a refresh in progress.
+                let mut read_gate = refreshing
+                    | if spacing_ok {
+                        read_known & !read_yes
+                    } else {
+                        u32::MAX
+                    };
+                let mut act_gate = refreshing | refresh_pending | (act_known & !act_yes);
 
-                let mut issued = false;
-                for (pos, &qi) in order.iter().enumerate() {
-                    let req = queue[qi];
-                    if die_refreshing[req.die] {
-                        continue; // die busy refreshing
+                let mut pick = None;
+                for k in 0..considered {
+                    let q = &list[position(k)];
+                    let (cmd, ready) = banks.candidate(q, cycle, [read_gate, refreshing, act_gate]);
+                    if !ready {
+                        continue;
                     }
-                    let refresh_pending = die_refresh_pending[req.die];
-                    let b = req.die * bpd + req.bank;
-                    let bank = &banks[b];
-                    if bank.can_read_at(cycle, req.row) {
-                        let ok = spacing_ok
-                            && *read_ok[req.die].get_or_insert_with(|| {
-                                self.read_allowed_cached(
-                                    &mut cache,
-                                    powered_key,
-                                    &activity,
-                                    req.die,
-                                )
-                            });
-                        if ok {
-                            banks[b].tick(cycle);
-                            banks[b].read(cycle, req.row);
-                            activity.record(cycle, req.die, t.data_cycles());
-                            channels[ch].last_read_cmd = Some(cycle);
-                            let done = cycle + t.t_cl as u64 + t.data_cycles() as u64;
-                            if act_for.get(&(req.die, req.bank)) != Some(&req.id) {
-                                row_hits += 1;
-                            }
-                            in_flight.push((done, req));
-                            issued_reads.push(qi);
-                            issued = true;
-                            // Issuing breaks the priority scan (one command
-                            // per channel per cycle), so any candidate after
-                            // this one was MASKED, not rejected: it may be
-                            // issuable next cycle with no timing event of
-                            // its own. Removing a queue entry can also pull
-                            // a request into a finite reorder window. Either
-                            // way the next cycle must be simulated.
-                            if pos + 1 < order.len() || eligible > self.policy.reorder_window() {
-                                changed = true;
-                            }
-                            last_progress_cycle = cycle;
-                        }
-                    } else if bank.open_row().is_some() && bank.open_row() != Some(req.row) {
-                        if banks[b].can_precharge_at(cycle) {
-                            banks[b].tick(cycle);
-                            banks[b].precharge(cycle, t.t_rp);
-                            open_mask[req.die] &= !(1 << req.bank);
-                            precharging_mask[req.die] |= 1 << req.bank;
-                            powered[req.die] -= 1;
-                            powered_key -= 1 << (4 * req.die);
-                            precharges += 1;
-                            issued = true;
-                            changed = true;
-                            last_progress_cycle = cycle;
-                        }
-                    } else if bank.can_activate_at(cycle)
-                        && !refresh_pending
-                        && *act_ok[req.die].get_or_insert_with(|| {
-                            self.activate_allowed_cached(
+                    let die = q.die as usize;
+                    let bit = 1u32 << die;
+                    match cmd {
+                        Cmd::Read if read_known & bit == 0 => {
+                            read_known |= bit;
+                            if self.read_allowed_cached(
                                 &mut cache,
-                                &powered,
-                                powered_key,
+                                banks.powered_key,
+                                &activity,
+                                die,
+                            ) {
+                                read_yes |= bit;
+                            } else {
+                                read_yes &= !bit;
+                                read_gate |= bit;
+                                refused_read |= bit;
+                                continue;
+                            }
+                        }
+                        Cmd::Activate if act_known & bit == 0 => {
+                            act_known |= bit;
+                            if self.activate_allowed_cached(
+                                &mut cache,
+                                &banks.powered,
+                                banks.powered_key,
                                 &channels[ch],
                                 &activity,
-                                req.die,
+                                die,
                                 cycle,
-                            )
-                        })
-                    {
-                        banks[b].tick(cycle);
-                        banks[b].activate(cycle, req.row, t.t_rcd, t.t_ras);
-                        open_mask[req.die] |= 1 << req.bank;
-                        powered[req.die] += 1;
-                        powered_key += 1 << (4 * req.die);
-                        act_for.insert((req.die, req.bank), req.id);
+                            ) {
+                                act_yes |= bit;
+                            } else {
+                                act_yes &= !bit;
+                                act_gate |= bit;
+                                refused_act |= bit;
+                                continue;
+                            }
+                        }
+                        _ => {}
+                    }
+                    pick = Some((k, cmd));
+                    break;
+                }
+                let Some((k, cmd)) = pick else {
+                    continue;
+                };
+                let pos = position(k);
+                let q = list[pos];
+                let b = q.bank as usize;
+                let die = q.die as usize;
+                match cmd {
+                    Cmd::Read => {
+                        if banks.read(&q, cycle) {
+                            row_hits += 1;
+                        }
+                        waiting[ch] -= 1;
+                        next_close = next_close.min(banks.slots[b].close_at);
+                        activity.record(cycle, die, t.data_cycles());
+                        channels[ch].last_read_cmd = Some(cycle);
+                        in_flight.push_back((cycle + read_latency, q.arrival));
+                    }
+                    Cmd::Precharge => {
+                        unwant(&queues, &mut waiting, &banks.slots[b], b);
+                        banks.precharge(die, q.local as usize, cycle);
+                        precharges += 1;
+                        precharged = true;
+                    }
+                    Cmd::Activate => {
+                        let mut want = 0;
+                        for (ch, list) in queues.iter().enumerate() {
+                            let hits = list
+                                .iter()
+                                .filter(|o| o.bank == q.bank && o.row == q.row)
+                                .count() as u32;
+                            waiting[ch] += hits;
+                            want += hits;
+                        }
+                        banks.activate(&q, want, cycle);
+                        next_close = next_close.min(banks.slots[b].close_at);
                         channels[ch].last_act = Some(cycle);
                         if standard {
                             channels[ch].acts.push_back(cycle);
                         }
                         activates += 1;
-                        issued = true;
-                        // Same masking argument as the read branch: the
-                        // break below hides every later candidate, which may
-                        // be immediately issuable (e.g. a row-hit read on
-                        // another bank) with no timer to wake us.
-                        if pos + 1 < order.len() {
-                            changed = true;
-                        }
-                        last_progress_cycle = cycle;
-                    }
-                    if issued {
-                        break;
                     }
                 }
-                if issued {
-                    read_ok.fill(None);
-                    act_ok.fill(None);
-                    issued_this_cycle = true;
+                issued_this_cycle = true;
+                last_progress_cycle = cycle;
+
+                // One command per channel per cycle: the issue MASKS every
+                // candidate after it, and a read's removal can pull one
+                // more into a finite reorder window. Those were never
+                // refused, so if one of them could issue next cycle with no
+                // timer of its own, the next cycle must be simulated. A
+                // candidate blocked next cycle by tRCD, tRAS, tRP, spacing
+                // or tRRD waits for that timer. One whose die admission
+                // refused this cycle stays refused after a read or an
+                // activate, which only raise the activity or the powered
+                // counts (a precharge lowers them, so it trusts no
+                // refusal); one whose die is at the bank cap waits for a
+                // precharge.
+                let end = if cmd == Cmd::Read && eligible > considered {
+                    considered + 1
+                } else {
+                    considered
+                };
+                if distr && window != usize::MAX {
+                    // A powered count that changed reorders the list, and
+                    // a finite window then holds other requests.
+                    changed = true;
+                } else if k + 1 < end {
+                    let list = &queues[ch];
+                    let next_cycle = cycle + 1;
+                    let trusted = cmd != Cmd::Precharge;
+                    let spacing_next = channels[ch]
+                        .last_read_cmd
+                        .is_none_or(|last| next_cycle >= last + spacing);
+                    let rrd_next = !standard
+                        || channels[ch]
+                            .last_act
+                            .is_none_or(|last| next_cycle >= last + t.t_rrd as u64);
+                    let read_gate = refreshing
+                        | match (spacing_next, trusted) {
+                            (false, _) => u32::MAX,
+                            (true, true) => read_known & !read_yes,
+                            (true, false) => 0,
+                        };
+                    let act_gate = refreshing
+                        | refresh_pending
+                        | banks.at_cap
+                        | if trusted { act_known & !act_yes } else { 0 }
+                        | if rrd_next { 0 } else { u32::MAX };
+                    let gates = [read_gate, refreshing, act_gate];
+                    let may_issue = (k + 1..end)
+                        .any(|k| banks.candidate(&list[position(k)], next_cycle, gates).1);
+                    changed |= may_issue;
+                    deferred |= !may_issue;
+                }
+                read_known = 0;
+                act_known = 0;
+                if cmd == Cmd::Read {
+                    queues[ch].remove(pos);
+                    queued -= 1;
                 }
             }
-            // Shifting removal, highest index first, keeps the queue in id
-            // order, which is what lets the priority passes above skip the
-            // comparator sort.
-            issued_reads.sort_unstable_by(|a, b| b.cmp(a));
-            for &qi in &issued_reads {
-                queue.remove(qi);
+            // A precharge lowers the powered counts, which may admit a
+            // candidate refused this cycle, or one a channel scanned
+            // before it left masked; nothing times that.
+            if precharged && ((refused_read | refused_act) != 0 || deferred) {
+                changed = true;
             }
-            if !queue.is_empty() && !issued_this_cycle {
+            if queued > 0 && !issued_this_cycle {
                 stall_cycles += 1;
             }
 
@@ -866,7 +1180,7 @@ impl MemorySimulator {
             // nibble-packed key equals the reference's per-die count vector
             // (with refreshing dies overridden to the interleave cap), and
             // the cached lookup reproduces its f64 inputs exactly.
-            let mut eff_key = powered_key;
+            let mut eff_key = banks.powered_key;
             if cycle < max_refreshing_until {
                 for die in 0..cfg.dies {
                     if cycle < refreshing_until[die] {
@@ -875,7 +1189,7 @@ impl MemorySimulator {
                     }
                 }
             }
-            let busy_max = activity.max_busy_int();
+            let mut busy_max = activity.max_busy_int();
             if eff_key != 0 && last_tracked != Some((eff_key, busy_max)) {
                 last_tracked = Some((eff_key, busy_max));
                 if let Some(ir) = cache.state_ir_at_max(&self.lut, eff_key, busy_max) {
@@ -883,7 +1197,7 @@ impl MemorySimulator {
                 }
             }
 
-            queue_depth_sum += queue.len() as f64;
+            queue_depth_sum += queued as f64;
             cycle += 1;
 
             if cycle - last_progress_cycle > stall_horizon {
@@ -892,16 +1206,13 @@ impl MemorySimulator {
                     completed,
                     eff_key,
                     busy_max,
-                    queue.len(),
+                    queued,
                     activity.window,
                 ));
             }
             if completed >= n {
                 break;
             }
-            // A changed cycle forces `next == cycle` regardless of any
-            // timer, so the candidate scan below would be pure overhead —
-            // and under saturation most cycles are changed cycles.
             if changed {
                 continue;
             }
@@ -910,58 +1221,45 @@ impl MemorySimulator {
             // act differently from a verbatim no-op. Between here and
             // `next` the state is provably constant, so the skipped cycles
             // contribute only their (constant) queue-depth and stall
-            // accounting.
+            // accounting. Each timer counts only where it can enable
+            // something (DESIGN §12).
             let mut next = u64::MAX;
-            let mut upd = |c: u64| {
-                if c >= cycle && c < next {
-                    next = c;
-                }
-            };
-            if next_arrival < requests.len() && queue.len() < cfg.queue_capacity {
+            let mut upd = |c: u64| next = next.min(if c >= cycle { c } else { u64::MAX });
+            if next_arrival < requests.len() && queued < cfg.queue_capacity {
                 upd(requests[next_arrival].arrival.max(cycle));
             }
-            // Only banks in `open | precharging` can owe a candidate: the
-            // rest are settled Idle. Stored phases may be stale under lazy
-            // ticking: an Activating bank whose tRCD already elapsed
-            // behaves as Active (and its ready_at is in the past, which
-            // `upd` would otherwise clamp to `cycle`, forcing a spurious
-            // simulation of every cycle). A stale Precharging bank behaves
-            // as Idle; its expired bit is dropped here.
+            // Open banks: tRCD if a queued request hits the row, tRAS if
+            // one conflicts, and the close time. Precharging banks: tRP if
+            // a request targets the bank or refresh waits on it.
+            next_close = u64::MAX;
             for die in 0..cfg.dies {
-                let mut m = open_mask[die] | precharging_mask[die];
+                let mut m = banks.open[die];
+                while m != 0 {
+                    let slot = &banks.slots[die * bpd + m.trailing_zeros() as usize];
+                    m &= m - 1;
+                    if slot.want > 0 {
+                        upd(slot.read_from);
+                    }
+                    if slot.queued > slot.want {
+                        upd(slot.next_from);
+                    }
+                    upd(slot.close_at);
+                    next_close = next_close.min(slot.close_at);
+                }
+                let mut m = banks.precharging[die];
                 while m != 0 {
                     let bk = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    let b = &banks[die * bpd + bk];
-                    match b.phase() {
-                        BankPhase::Activating { ready_at, .. } if ready_at >= cycle => {
-                            upd(ready_at);
-                        }
-                        BankPhase::Activating { .. } | BankPhase::Active { .. } => {
-                            upd(b.ras_ready_at());
-                            let last_use = b.last_use_at();
-                            upd(last_use + idle_close);
-                            upd(last_use + starve);
-                            precharging_mask[die] &= !(1 << bk);
-                        }
-                        BankPhase::Precharging { idle_at } => {
-                            if idle_at >= cycle {
-                                upd(idle_at);
-                            } else {
-                                precharging_mask[die] &= !(1 << bk);
-                            }
-                        }
-                        BankPhase::Idle => {
-                            precharging_mask[die] &= !(1 << bk);
-                        }
+                    let slot = &banks.slots[die * bpd + bk];
+                    if slot.next_from < cycle {
+                        banks.precharging[die] &= !(1 << bk);
+                    } else if slot.queued > 0 || t.t_refi > 0 {
+                        upd(slot.next_from);
                     }
                 }
             }
-            for ch in channels.iter() {
-                if let Some(last) = ch.last_read_cmd {
-                    upd(last + spacing);
-                }
-                if standard {
+            if standard {
+                for ch in channels.iter() {
                     if let Some(last) = ch.last_act {
                         upd(last + t.t_rrd as u64);
                     }
@@ -976,43 +1274,87 @@ impl MemorySimulator {
                     upd(refreshing_until[die]);
                 }
             }
-            if let Some(expiry) = activity.next_expiry() {
-                upd(expiry);
+            // Channel spacing, only where a queued read waits on an open
+            // (or opening) row.
+            for (ch, state) in channels.iter().enumerate() {
+                if let Some(last) = state.last_read_cmd {
+                    if waiting[ch] > 0 {
+                        upd(last + spacing);
+                    }
+                }
+            }
+
+            // The run ends inside this gap if nothing is queued or still
+            // to arrive and the last in-flight read completes before
+            // `next`: the reference's last cycle is that completion's.
+            let end = match in_flight.back() {
+                Some(&(done, _))
+                    if queued == 0 && next_arrival == requests.len() && done < next =>
+                {
+                    done + 1
+                }
+                _ => next,
+            };
+            // Activity-window expiries inside the gap. Each one changes
+            // busy counts that step 6 reads, so its lookup runs here, but
+            // it needs a simulated cycle only if it can admit a candidate
+            // admission refused: a refused read's die lost busy cycles,
+            // or the window maximum that every IR check reads fell while
+            // a read or an IR-refused activate waits.
+            let act_relaxable = !standard && refused_act & !banks.at_cap != 0;
+            while let Some(expiry) = activity.next_expiry() {
+                if expiry >= end {
+                    break;
+                }
+                retire_before(
+                    &mut in_flight,
+                    expiry,
+                    &mut completed,
+                    &mut latency_sum,
+                    &mut last_data_end,
+                    &mut last_progress_cycle,
+                );
+                if expiry > last_progress_cycle + stall_horizon {
+                    break; // the stall check below fires first
+                }
+                let busy_before = busy_max;
+                let dies = activity.prune(expiry);
+                busy_max = activity.max_busy_int();
+                if refused_read & dies != 0
+                    || (busy_max != busy_before && (refused_read != 0 || act_relaxable))
+                {
+                    next = expiry;
+                    break;
+                }
+                if eff_key != 0 && last_tracked != Some((eff_key, busy_max)) {
+                    last_tracked = Some((eff_key, busy_max));
+                    if let Some(ir) = cache.state_ir_at_max(&self.lut, eff_key, busy_max) {
+                        max_ir = max_ir.max(ir);
+                    }
+                }
             }
 
             // Completions are scheduler-invisible — they touch only the
             // completion statistics, never the queue, banks, or admission
             // state — so any that fall before the next real event retire
             // inline here instead of waking the whole body for nothing.
-            if !in_flight.is_empty() {
-                let mut last_done = 0u64;
-                let mut i = 0;
-                while i < in_flight.len() {
-                    let (done, req) = in_flight[i];
-                    if done < next {
-                        in_flight.swap_remove(i);
-                        completed += 1;
-                        latency_sum += (done - req.arrival) as f64;
-                        last_data_end = last_data_end.max(done);
-                        last_done = last_done.max(done);
-                    } else {
-                        i += 1;
-                    }
-                }
-                if last_done > 0 {
-                    last_progress_cycle = last_progress_cycle.max(last_done);
-                    if completed >= n {
-                        // The reference's final body ran at the last
-                        // completion cycle, leaving its cycle counter (the
-                        // avg-queue-depth denominator) one past it. The
-                        // queue is empty here, so the intervening cycles
-                        // accrue no depth or stall.
-                        debug_assert!(queue.is_empty() && next_arrival == requests.len());
-                        skipped_cycles += last_done + 1 - cycle;
-                        cycle = last_done + 1;
-                        continue;
-                    }
-                }
+            retire_before(
+                &mut in_flight,
+                next,
+                &mut completed,
+                &mut latency_sum,
+                &mut last_data_end,
+                &mut last_progress_cycle,
+            );
+            if completed >= n {
+                // The reference's final body ran at the last completion
+                // cycle, leaving its cycle counter (the avg-queue-depth
+                // denominator) one past it. The queue is empty here, so
+                // the intervening cycles accrue no depth or stall.
+                debug_assert!(queued == 0 && next_arrival == requests.len());
+                skipped_cycles += last_data_end + 1 - cycle;
+                cycle = last_data_end + 1;
+                continue;
             }
 
             let horizon_cycle = last_progress_cycle + stall_horizon + 1;
@@ -1024,15 +1366,15 @@ impl MemorySimulator {
                     completed,
                     eff_key,
                     busy_max,
-                    queue.len(),
+                    queued,
                     activity.window,
                 ));
             }
             if next > cycle {
                 let gap = next - cycle;
                 skipped_cycles += gap;
-                queue_depth_sum += gap as f64 * queue.len() as f64;
-                if !queue.is_empty() {
+                queue_depth_sum += gap as f64 * queued as f64;
+                if queued > 0 {
                     stall_cycles += gap;
                 }
                 cycle = next;
@@ -1086,6 +1428,31 @@ impl MemorySimulator {
             );
         }
         Ok(stats)
+    }
+
+    /// Checks that every request names a die, bank and channel the
+    /// simulated stack has: the event loop indexes its per-bank state by
+    /// `die * banks_per_die + bank` and its queues by channel.
+    fn check_requests(&self, requests: &[ReadRequest]) -> Result<(), SimulateError> {
+        let cfg = &self.config;
+        for r in requests {
+            let (field, value, limit) = if r.die >= cfg.dies {
+                ("die", r.die, cfg.dies)
+            } else if r.bank >= cfg.banks_per_die {
+                ("bank", r.bank, cfg.banks_per_die)
+            } else if r.channel >= cfg.channels {
+                ("channel", r.channel, cfg.channels)
+            } else {
+                continue;
+            };
+            return Err(SimulateError::RequestOutOfRange {
+                id: r.id,
+                field,
+                value,
+                limit,
+            });
+        }
+        Ok(())
     }
 
     /// Cached equivalent of the reference `read_allowed`: whether issuing
@@ -1515,6 +1882,61 @@ mod tests {
         let reqs = small_workload(500);
         let stats = sim(ReadPolicy::standard()).run(&reqs).unwrap();
         assert!(stats.avg_queue_depth <= 32.0);
+    }
+
+    /// Runs 20 paper-DDR3 requests with request 7 moved by `edit`.
+    fn run_with_request_7(edit: impl Fn(&mut crate::ReadRequest)) -> SimulateError {
+        let mut reqs = small_workload(20);
+        edit(&mut reqs[7]);
+        sim(ReadPolicy::ir_aware_fcfs(MilliVolts(40.0)))
+            .run(&reqs)
+            .expect_err("the request is outside the 4 x 8-bank, 1-channel stack")
+    }
+
+    #[test]
+    fn request_for_a_missing_die_is_rejected() {
+        let err = run_with_request_7(|r| r.die = 4);
+        assert_eq!(
+            err,
+            SimulateError::RequestOutOfRange {
+                id: 7,
+                field: "die",
+                value: 4,
+                limit: 4
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "request 7 targets die 4, but the simulated stack has dies 0..4"
+        );
+    }
+
+    #[test]
+    fn request_for_a_missing_bank_is_rejected() {
+        let err = run_with_request_7(|r| r.bank = 9);
+        assert_eq!(
+            err,
+            SimulateError::RequestOutOfRange {
+                id: 7,
+                field: "bank",
+                value: 9,
+                limit: 8
+            }
+        );
+    }
+
+    #[test]
+    fn request_for_a_missing_channel_is_rejected() {
+        let err = run_with_request_7(|r| r.channel = 1);
+        assert_eq!(
+            err,
+            SimulateError::RequestOutOfRange {
+                id: 7,
+                field: "channel",
+                value: 1,
+                limit: 1
+            }
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! memory-controller policy, end to end, plus the paper's headline
 //! qualitative results.
 
-use pi3d::core::{build_ir_lut_from_mesh, ir_cost, Platform};
+use pi3d::core::{build_ir_lut_from_mesh, config, ir_cost, sim_setup, Platform};
 use pi3d::layout::units::MilliVolts;
 use pi3d::layout::{Benchmark, BondingStyle, MemoryState, Mounting, StackDesign};
 use pi3d::memsim::{IrDropLut, MemorySimulator, ReadPolicy, SimConfig, TimingParams, WorkloadSpec};
@@ -39,34 +39,81 @@ fn design_to_policy_pipeline_runs_end_to_end() {
     assert!(objective > 0.0);
 }
 
+/// Runs `policies` through both loops on `design`'s platform LUT with
+/// its own `sim_setup` and `reads` requests, and asserts identical stats.
+fn assert_loops_agree(
+    platform: &Platform,
+    design: &StackDesign,
+    reads: usize,
+    policies: &[ReadPolicy],
+) {
+    let mesh = platform.evaluate(design).expect("design evaluates");
+    let (timing, config, mut workload) = sim_setup(design);
+    let lut = build_ir_lut_from_mesh(&mesh, config.max_powered_per_die).expect("LUT builds");
+    workload.count = reads;
+    let requests = workload.generate();
+    for &policy in policies {
+        let sim = MemorySimulator::new(timing, config.clone(), policy, lut.clone());
+        let event = sim.run(&requests).expect("event loop completes");
+        let reference = sim.run_reference(&requests).expect("stepper completes");
+        assert_eq!(event, reference, "{:?} {policy:?}", design.benchmark());
+        assert_eq!(event.completed, reads as u64, "{policy:?}");
+    }
+}
+
+fn all_policies(constraint: f64) -> [ReadPolicy; 3] {
+    [
+        ReadPolicy::standard(),
+        ReadPolicy::ir_aware_fcfs(MilliVolts(constraint)),
+        ReadPolicy::ir_aware_distr(MilliVolts(constraint)),
+    ]
+}
+
 #[test]
 fn event_loop_matches_reference_stepper_on_a_platform_lut() {
     // The equivalence suite in pi3d-memsim drives synthetic LUTs; this
-    // runs both loops on the LUT the platform builds for the ddr3-off
-    // baseline and on the paper's read stream, as `simulate` and Table 6
-    // do.
+    // runs both loops on the LUTs the platform builds, as `simulate`,
+    // `serve` and Table 6 do. First the ddr3-off baseline at the coarse
+    // mesh on the paper's read stream.
     let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
-    let mesh = platform().evaluate(&design).expect("design evaluates");
-    let lut = build_ir_lut_from_mesh(&mesh, SimConfig::paper_ddr3().max_powered_per_die)
-        .expect("LUT builds");
-    let requests = WorkloadSpec::paper_ddr3().generate();
-    let constraint = MilliVolts(24.0);
-    for policy in [
-        ReadPolicy::standard(),
-        ReadPolicy::ir_aware_fcfs(constraint),
-        ReadPolicy::ir_aware_distr(constraint),
-    ] {
-        let sim = MemorySimulator::new(
-            TimingParams::ddr3_1600(),
-            SimConfig::paper_ddr3(),
-            policy,
-            lut.clone(),
+    assert_loops_agree(&platform(), &design, 10_000, &all_policies(24.0));
+
+    // Then the simulate configs `perfbench`'s serve-mixed workload
+    // sends: every baseline at the default mesh with its own stack (Wide
+    // I/O 4 channels x 16 banks, HMC 16 x 32) and timings, all three
+    // policies at 30 and 40 mV ...
+    let default_mesh = Platform::new(MeshOptions::default());
+    for benchmark in Benchmark::ALL {
+        let design = StackDesign::baseline(benchmark);
+        let [standard, fcfs_30, distr_30] = all_policies(30.0);
+        let [_, fcfs_40, distr_40] = all_policies(40.0);
+        assert_loops_agree(
+            &default_mesh,
+            &design,
+            10_000,
+            &[standard, fcfs_30, distr_30, fcfs_40, distr_40],
         );
-        let event = sim.run(&requests).expect("event loop completes");
-        let reference = sim.run_reference(&requests).expect("stepper completes");
-        assert_eq!(event, reference, "{policy:?}");
-        assert_eq!(event.completed, 10_000, "{policy:?}");
     }
+    // ... and its first cold config, a ddr3-on metal-usage variant.
+    let cold = config::parse_design("benchmark = ddr3-on\nm2_usage = 0.10\nm3_usage = 0.10\n")
+        .expect("cold config parses");
+    assert_loops_agree(
+        &default_mesh,
+        &cold,
+        10_000,
+        &[ReadPolicy::ir_aware_distr(MilliVolts(40.0))],
+    );
+}
+
+/// The paper's 200,000-read stream through both loops, on the coarse
+/// ddr3-off LUT at 24 mV. About 20 s, most of it in the reference
+/// stepper, so it is ignored by default; `ci.sh` runs it with
+/// `--ignored`.
+#[test]
+#[ignore = "slow: about 20 s; ci.sh runs it"]
+fn event_loop_matches_reference_stepper_on_the_paper_long_stream() {
+    let design = StackDesign::baseline(Benchmark::StackedDdr3OffChip);
+    assert_loops_agree(&platform(), &design, 200_000, &all_policies(24.0));
 }
 
 #[test]
